@@ -3,36 +3,41 @@
 Subcommands: ``gen-data``, ``train``, ``eval``, ``select-features``,
 ``compare-windows``, ``compare-models``, ``compare-snr``, ``inspect``.
 Configuration is layered: profile defaults, then an optional JSON config
-file, then repeatable ``--set key=value`` overrides; the fully resolved
-configuration is echoed into the run manifest.  Exit codes: 0 success,
-2 I/O failure, 3 validation failure, 4 checkpoint/config mismatch,
-5 training divergence.
+file, then repeatable ``--set key=value`` overrides.  The ``dataset`` and
+``model`` defaults are the field defaults of ``DatasetSpec`` and
+``LrcnConfig``; a profile changes only a few of them.  The config file and
+``--set`` pass one check: every key must exist, a group takes a JSON
+object and any other key a value of its default's JSON kind.  The fully
+resolved configuration is echoed into the run manifest.  Exit codes:
+0 success, 2 I/O failure, 3 validation failure, 4 checkpoint/config
+mismatch, 5 training divergence.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
+import io
 import json
 import os
-import struct
 import sys
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
 from . import plots
-from .dynamics import PMU_RECORD_MAGIC, ProbingSignal, SimConfig
+from .dynamics import PMU_RECORD_MAGIC, PmuRecordSet, ProbingSignal, SimConfig
 from .experiments import (
+    CNN_BASELINE_LR,
     DatasetBuilder,
     DatasetSpec,
     GenerationError,
     TrainingDivergedError,
     compare_models,
     compare_time_windows,
+    configs_by_arch,
     desk_amplitude_grid,
-    default_h_grid,
     metrics_from_predictions,
-    paper_amplitude_grid,
     predict,
     sha256_hex,
     snr_robustness_study,
@@ -40,64 +45,63 @@ from .experiments import (
     train,
     wrapper_feature_selection,
 )
-from .grid import CaseParseError, CaseValidationError, load_case, load_default_case
-from .nn.model import MODEL_MAGIC, LrcnConfig, load_model
-from .signals import DATASET_MAGIC, Dataset, FeatureSet
+from .grid import load_case, load_default_case
+from .nn.model import MODEL_MAGIC, LrcnConfig, load_model, read_checkpoint_header
+from .signals import DATASET_MAGIC, Dataset
 
 EXIT_IO = 2
 EXIT_VALIDATION = 3
 EXIT_MISMATCH = 4
 EXIT_DIVERGED = 5
 
+# Library fields the CLI does not expose: the model input length follows
+# from the dataset, and the angle reference has one supported value.
+_UNEXPOSED = ("input_len", "reference")
+
+# Where each profile departs from the library defaults.
+_PROFILE_DELTAS = {
+    "desk": {
+        "dataset": {"amplitudes": list(desk_amplitude_grid())},
+        "model": {"sequence_stride": 8},
+        "train": {"epochs": 60},
+    },
+    "paper": {},
+}
+
+_METRIC_COLUMNS = ("accuracy", "r2", "mse")
+
 
 class CheckpointMismatchError(RuntimeError):
     """Model checkpoint is incompatible with the supplied data or config."""
 
 
+def _group(obj):
+    """Config group of a library dataclass: its field values, tuples as lists."""
+    group = {}
+    for f in fields(obj):
+        if f.name not in _UNEXPOSED:
+            value = getattr(obj, f.name)
+            group[f.name] = list(value) if isinstance(value, tuple) else value
+    return group
+
+
 def _profile_defaults(profile):
-    base = {
+    if profile not in _PROFILE_DELTAS:
+        raise ValueError(f"unknown profile {profile!r}")
+    spec = DatasetSpec()
+    cfg = {
         "profile": profile,
         "case": None,
         "out": "out",
         "seed": 0,
         "dataset": {
-            "h_values": list(default_h_grid()),
-            "amplitudes": list(paper_amplitude_grid()),
-            "window": [0.0, 1.0],
-            "snr_db": 60.0,
-            "features": ["speed", "rocof"],
+            **_group(spec),
+            "features": list(spec.features.names()),
             "base_seed": None,
-            "target_rate": 200.0,
-            "probe": {
-                "kind": "step_pulse",
-                "amplitude": 0.001,
-                "injection_bus": None,
-                "start": 0.0,
-                "duration": 0.5,
-                "prbs_chip": 0.02,
-                "seed": 0,
-            },
-            "sim": {
-                "t_end": 1.5,
-                "integrator_step": 1.0 / 5760.0,
-                "pmu_rate": 2880.0,
-            },
+            "probe": _group(spec.probe),
+            "sim": _group(spec.sim),
         },
-        "model": {
-            "conv1_channels": 10,
-            "conv2_channels": 20,
-            "kernel_size": 3,
-            "lstm_units": 32,
-            "head_sizes": [64, 16],
-            "batch_size": 32,
-            "seed": None,
-            "learning_rate": 0.02,
-            "lr_factor": 0.5,
-            "lr_patience": 10,
-            "lr_min": 1e-6,
-            "lr_threshold": 1e-8,
-            "sequence_stride": 1,
-        },
+        "model": {**_group(LrcnConfig()), "seed": None},
         "train": {
             "epochs": 200,
             "arch": "lrcn",
@@ -105,59 +109,72 @@ def _profile_defaults(profile):
             "split_seed": None,
             "train_seed": None,
             "snr_levels": [60.0, 45.0],
-            "cnn_learning_rate": 1e-4,
+            "cnn_learning_rate": CNN_BASELINE_LR,
         },
         "paths": {"dataset": None, "model": None},
     }
-    if profile == "desk":
-        base["dataset"]["amplitudes"] = list(desk_amplitude_grid())
-        base["model"]["sequence_stride"] = 8
-        base["train"]["epochs"] = 60
-    elif profile != "paper":
-        raise ValueError(f"unknown profile {profile!r}")
-    return base
+    for group, values in _PROFILE_DELTAS[profile].items():
+        cfg[group].update(values)
+    return cfg
 
 
-def _deep_update(dst, src):
-    for key, value in src.items():
-        if isinstance(value, dict) and isinstance(dst.get(key), dict):
-            _deep_update(dst[key], value)
+def _fits(default, value):
+    """Whether ``value`` has the JSON kind of ``default``.
+
+    A float default takes any number, a null default takes null, an integer
+    or a string, and list items are checked against the default's first item.
+    """
+    if isinstance(value, (bool, dict)):
+        return False
+    if default is None:
+        return value is None or isinstance(value, (int, str))
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(default[0], v) for v in value)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return type(value) is type(default)
+
+
+def _override(cfg, defaults, values, prefix=""):
+    """Merge a config-file tree or one nested ``--set`` value into ``cfg``."""
+    for key, value in values.items():
+        name = prefix + key
+        if key not in defaults:
+            raise ValueError(f"unknown config key {name!r}")
+        if isinstance(defaults[key], dict):
+            if not isinstance(value, dict):
+                raise ValueError(f"config group {name!r} needs a JSON object, got {value!r}")
+            _override(cfg[key], defaults[key], value, name + ".")
+        elif _fits(defaults[key], value):
+            cfg[key] = value
         else:
-            dst[key] = value
-    return dst
-
-
-def _apply_set(cfg, assignment):
-    key, sep, raw = assignment.partition("=")
-    if not sep:
-        raise ValueError(f"--set needs key=value, got {assignment!r}")
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    node = cfg
-    parts = key.split(".")
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            raise ValueError(f"unknown config group {part!r} in {key!r}")
-        node = node[part]
-    if parts[-1] not in node:
-        raise ValueError(f"unknown config key {key!r}")
-    node[parts[-1]] = value
+            raise ValueError(f"config key {name!r} has the wrong type: {value!r}")
 
 
 def resolve_config(args):
     """Layer profile defaults, config file and --set overrides."""
-    profile = args.profile
-    if profile is None and args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            profile = json.load(fh).get("profile")
-    cfg = _profile_defaults(profile or "desk")
+    layers = []
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            _deep_update(cfg, json.load(fh))
+            layers.append(json.load(fh))
+        if not isinstance(layers[0], dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
     for assignment in args.set or []:
-        _apply_set(cfg, assignment)
+        key, sep, raw = assignment.partition("=")
+        if not sep:
+            raise ValueError(f"--set needs key=value, got {assignment!r}")
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        for part in reversed(key.split(".")):
+            value = {part: value}
+        layers.append(value)
+    profile = args.profile or (layers[0].get("profile") if args.config else None)
+    defaults = _profile_defaults(profile or "desk")
+    cfg = copy.deepcopy(defaults)
+    for layer in layers:
+        _override(cfg, defaults, layer)
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.out is not None:
@@ -166,79 +183,31 @@ def resolve_config(args):
         cfg["paths"]["dataset"] = args.data
     if getattr(args, "model", None):
         cfg["paths"]["model"] = args.model
-    # unset seeds inherit the run seed
-    seed = int(cfg["seed"])
-    if cfg["dataset"]["base_seed"] is None:
-        cfg["dataset"]["base_seed"] = seed
-    if cfg["model"]["seed"] is None:
-        cfg["model"]["seed"] = seed
-    if cfg["train"]["split_seed"] is None:
-        cfg["train"]["split_seed"] = seed
-    if cfg["train"]["train_seed"] is None:
-        cfg["train"]["train_seed"] = seed
+    # null seeds inherit the run seed
+    for group, key in (("dataset", "base_seed"), ("model", "seed"),
+                       ("train", "split_seed"), ("train", "train_seed")):
+        if cfg[group][key] is None:
+            cfg[group][key] = cfg["seed"]
+        elif not isinstance(cfg[group][key], int):
+            raise ValueError(f"config key '{group}.{key}' needs an integer or null")
     return cfg
 
 
 def _build_grid(cfg):
-    if cfg["case"]:
-        return load_case(cfg["case"])
-    return load_default_case()
+    return load_case(cfg["case"]) if cfg["case"] else load_default_case()
 
 
 def _build_spec(cfg):
     d = cfg["dataset"]
-    probe = ProbingSignal(
-        kind=d["probe"]["kind"],
-        amplitude=float(d["probe"]["amplitude"]),
-        injection_bus=d["probe"]["injection_bus"],
-        start=float(d["probe"]["start"]),
-        duration=float(d["probe"]["duration"]),
-        prbs_chip=float(d["probe"]["prbs_chip"]),
-        seed=int(d["probe"]["seed"]),
-    )
-    sim = SimConfig(
-        t_end=float(d["sim"]["t_end"]),
-        integrator_step=float(d["sim"]["integrator_step"]),
-        pmu_rate=float(d["sim"]["pmu_rate"]),
-    )
     return DatasetSpec(
-        h_values=tuple(float(h) for h in d["h_values"]),
-        amplitudes=tuple(float(a) for a in d["amplitudes"]),
-        window=tuple(d["window"]),
-        snr_db=float(d["snr_db"]),
-        features=FeatureSet(d["features"]),
-        base_seed=int(d["base_seed"]),
-        target_rate=float(d["target_rate"]),
-        probe=probe,
-        sim=sim,
+        **{**d, "probe": ProbingSignal(**d["probe"]), "sim": SimConfig(**d["sim"])}
     )
 
 
-def _arch_configs(cfg, config):
-    return {
-        "lrcn": config,
-        "cnn": replace(config, learning_rate=float(cfg["train"]["cnn_learning_rate"])),
-    }
-
-
-def _model_config(cfg, input_len):
-    m = cfg["model"]
-    return LrcnConfig(
-        input_len=input_len,
-        conv1_channels=int(m["conv1_channels"]),
-        conv2_channels=int(m["conv2_channels"]),
-        kernel_size=int(m["kernel_size"]),
-        lstm_units=int(m["lstm_units"]),
-        head_sizes=tuple(int(s) for s in m["head_sizes"]),
-        batch_size=int(m["batch_size"]),
-        seed=int(m["seed"]),
-        learning_rate=float(m["learning_rate"]),
-        lr_factor=float(m["lr_factor"]),
-        lr_patience=int(m["lr_patience"]),
-        lr_min=float(m["lr_min"]),
-        lr_threshold=float(m["lr_threshold"]),
-        sequence_stride=int(m["sequence_stride"]),
-    )
+def _model_configs(cfg, input_len, archs=("lrcn", "cnn")):
+    """Model config per architecture; the flatten baseline has its own rate."""
+    config = LrcnConfig(input_len=input_len, **cfg["model"])
+    return configs_by_arch(config, archs, cfg["train"]["cnn_learning_rate"])
 
 
 def _spec_tensor_len(spec, grid):
@@ -250,6 +219,16 @@ def run_fingerprint(cfg):
     """Digest of the semantic configuration (artifact location excluded)."""
     semantic = {k: v for k, v in cfg.items() if k != "out"}
     return sha256_hex(json.dumps(semantic, sort_keys=True).encode())
+
+
+def _stamp(cfg):
+    return f"config_fingerprint {run_fingerprint(cfg)}"
+
+
+def _training_keys(cfg):
+    """Training settings every study takes as keyword arguments."""
+    t = cfg["train"]
+    return {key: t[key] for key in ("epochs", "split_seed", "train_seed", "train_fraction")}
 
 
 @contextlib.contextmanager
@@ -272,29 +251,13 @@ def _output_dir(cfg):
             os.unlink(lock)
 
 
-def _write_manifest(out, cfg, extra):
-    payload = {"config": cfg, "config_fingerprint": run_fingerprint(cfg)}
-    payload.update(extra)
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    (out / "manifest.json").write_text(text + "\n", encoding="utf-8")
-    return payload
+def _cells(metrics):
+    return metrics.acc10, metrics.r2, metrics.mse
 
 
-def _summary(**fields):
-    print(json.dumps(fields, sort_keys=True))
-
-
-def _csv_with_fingerprint(path, header, rows, fingerprint):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# config_fingerprint {fingerprint}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    repr(float(v)) if isinstance(v, float) else str(v) for v in row
-                )
-            )
-            fh.write("\n")
+def _curve(values):
+    """Per-epoch series as (epochs, values) for the line plots."""
+    return list(range(1, len(values) + 1)), list(values)
 
 
 def _load_or_generate_dataset(cfg, grid, spec, out):
@@ -306,357 +269,189 @@ def _load_or_generate_dataset(cfg, grid, spec, out):
     return dataset
 
 
-def cmd_gen_data(cfg):
-    with _output_dir(cfg) as out:
-        grid = _build_grid(cfg)
-        spec = _build_spec(cfg)
-        dataset = DatasetBuilder(grid, spec).build()
-        blob = dataset.to_bytes()
-        (out / "dataset.bin").write_bytes(blob)
-        case_text = (
-            Path(cfg["case"]).read_bytes()
-            if cfg["case"]
-            else b"<bundled ieee24.case>"
-        )
-        _write_manifest(
-            out,
-            cfg,
-            {
-                "command": "gen-data",
-                "samples": len(dataset),
-                "tensor_length": dataset.tensor_length,
-                "dataset_sha256": sha256_hex(blob),
-                "grid_sha256": sha256_hex(case_text),
-            },
-        )
-        _summary(
-            command="gen-data",
-            out=str(out),
-            samples=len(dataset),
-            dataset_sha256=sha256_hex(blob),
-        )
-    return 0
+def _gen_data(out, cfg, grid, spec):
+    dataset = DatasetBuilder(grid, spec).build()
+    blob = dataset.to_bytes()
+    (out / "dataset.bin").write_bytes(blob)
+    case_text = Path(cfg["case"]).read_bytes() if cfg["case"] else b"<bundled ieee24.case>"
+    summary = {"samples": len(dataset), "dataset_sha256": sha256_hex(blob)}
+    extra = {"tensor_length": dataset.tensor_length, "grid_sha256": sha256_hex(case_text)}
+    return {**summary, **extra}, summary
 
 
-def _emit_train_artifacts(out, cfg, report, model, val_set, prefix=""):
-    fingerprint = run_fingerprint(cfg)
-    stamp = f"config_fingerprint {fingerprint}"
-    report.save(out / f"{prefix}report.txt")
-    plots.write_learning_curve_csv(
-        out / f"{prefix}learning_curve.csv", report, comment=stamp
-    )
-    epochs = list(range(1, len(report.train_curve) + 1))
-    plots.write_line_svg(
-        out / f"{prefix}learning_curve.svg",
-        {
-            "train": (epochs, list(report.train_curve)),
-            "validation": (epochs, list(report.val_curve)),
-        },
-        title="MSE loss vs epoch",
-        xlabel="epoch",
-        ylabel="mse",
-        comment=stamp,
-    )
-    predictions = predict(model, val_set)
-    plots.write_scatter_csv(
-        out / f"{prefix}scatter.csv", val_set.labels, predictions, comment=stamp
-    )
+def _write_evaluation(out, stamp, arch, labels, predictions, metrics):
+    """Estimate-versus-label scatter (CSV and SVG) and the metrics CSV."""
+    plots.write_scatter_csv(out / "scatter.csv", labels, predictions, comment=stamp)
     plots.write_scatter_svg(
-        out / f"{prefix}scatter.svg",
-        val_set.labels,
-        predictions,
-        title="inertia estimate vs label",
-        comment=stamp,
+        out / "scatter.svg", labels, predictions,
+        title="inertia estimate vs label", comment=stamp,
     )
-    metrics = report.metrics
-    _csv_with_fingerprint(
-        out / f"{prefix}metrics.csv",
-        ("model", "accuracy", "r2", "mse"),
-        [(report.arch, metrics.acc10, metrics.r2, metrics.mse)],
-        fingerprint,
+    plots.write_csv(
+        out / "metrics.csv", ("model", *_METRIC_COLUMNS),
+        [(arch, *_cells(metrics))], comment=stamp,
     )
 
 
-def cmd_train(cfg):
-    with _output_dir(cfg) as out:
-        grid = _build_grid(cfg)
-        spec = _build_spec(cfg)
-        dataset = _load_or_generate_dataset(cfg, grid, spec, out)
-        config = _model_config(cfg, dataset.tensor_length)
-        arch = cfg["train"]["arch"]
-        config = _arch_configs(cfg, config)[arch]
-        train_set, val_set = split(
-            dataset, cfg["train"]["train_fraction"], cfg["train"]["split_seed"]
-        )
-        model, report = train(
-            config,
-            train_set,
-            val_set,
-            epochs=int(cfg["train"]["epochs"]),
-            seed=int(cfg["train"]["train_seed"]),
-            arch=arch,
-        )
-        model.save(out / "model.bin")
-        _emit_train_artifacts(out, cfg, report, model, val_set)
-        _write_manifest(
-            out,
-            cfg,
-            {
-                "command": "train",
-                "epochs": report.epochs,
-                "best_epoch": report.best_epoch,
-                "metrics": vars(report.metrics),
-            },
-        )
-        _summary(
-            command="train",
-            out=str(out),
-            best_epoch=report.best_epoch,
-            mse=report.metrics.mse,
-            r2=report.metrics.r2,
-            acc10=report.metrics.acc10,
-        )
-    return 0
+def _train(out, cfg, grid, spec):
+    dataset = _load_or_generate_dataset(cfg, grid, spec, out)
+    t = cfg["train"]
+    arch = t["arch"]
+    config = _model_configs(cfg, dataset.tensor_length, (arch,))[arch]
+    train_set, val_set = split(dataset, t["train_fraction"], t["split_seed"])
+    model, report = train(
+        config, train_set, val_set, epochs=t["epochs"], seed=t["train_seed"], arch=arch
+    )
+    model.save(out / "model.bin")
+    stamp = _stamp(cfg)
+    report.save(out / "report.txt")
+    plots.write_learning_curve_csv(out / "learning_curve.csv", report, comment=stamp)
+    plots.write_line_svg(
+        out / "learning_curve.svg",
+        {"train": _curve(report.train_curve), "validation": _curve(report.val_curve)},
+        title="MSE loss vs epoch", xlabel="epoch", ylabel="mse", comment=stamp,
+    )
+    _write_evaluation(
+        out, stamp, arch, val_set.labels, predict(model, val_set), report.metrics
+    )
+    metrics = vars(report.metrics)
+    return (
+        {"epochs": report.epochs, "best_epoch": report.best_epoch, "metrics": metrics},
+        {"best_epoch": report.best_epoch, **metrics},
+    )
 
 
-def cmd_eval(cfg):
+def _eval(out, cfg, grid, spec):
     model_path = cfg["paths"]["model"]
     if not model_path:
         raise ValueError("eval requires a model checkpoint (--model or paths.model)")
+    model = load_model(model_path)
+    dataset = _load_or_generate_dataset(cfg, grid, spec, out)
+    if dataset.tensor_length != model.config.input_len:
+        raise CheckpointMismatchError(
+            f"checkpoint expects input length {model.config.input_len}, "
+            f"dataset provides {dataset.tensor_length}"
+        )
+    _, val_set = split(dataset, cfg["train"]["train_fraction"], cfg["train"]["split_seed"])
+    predictions = predict(model, val_set)
+    metrics = metrics_from_predictions(val_set.labels, predictions)
+    _write_evaluation(out, _stamp(cfg), model.arch, val_set.labels, predictions, metrics)
+    return {"metrics": vars(metrics)}, {"samples": len(val_set), **vars(metrics)}
+
+
+def _write_arms(out, stamp, name, column, arms, report_prefix, title):
+    """Metrics CSV, validation-curve SVG and one report per study arm."""
+    plots.write_csv(
+        out / f"{name}.csv", (column, *_METRIC_COLUMNS),
+        [(label, *_cells(r.metrics)) for label, r in arms.items()], comment=stamp,
+    )
+    series = {}
+    for label, report in arms.items():
+        series[f"val {label}"] = _curve(report.val_curve)
+        report.save(out / f"{report_prefix}{label}.txt")
+    plots.write_line_svg(
+        out / f"{name}.svg", series,
+        title=title, xlabel="epoch", ylabel="mse", comment=stamp,
+    )
+
+
+def _select_features(out, cfg, grid, spec):
+    config = _model_configs(cfg, _spec_tensor_len(spec, grid))["lrcn"]
+    result = wrapper_feature_selection(
+        DatasetBuilder(grid, spec), config, **_training_keys(cfg)
+    )
+    stamp = _stamp(cfg)
+    rows = [
+        (round_no, name, value)
+        for round_no, scores in enumerate(result.rounds, start=1)
+        for name, value in scores.items()
+    ]
+    plots.write_csv(
+        out / "selection.csv", ("round", "candidate", "acc10"), rows, comment=stamp
+    )
+    series = {}
+    for round_no, name, value in rows:
+        rounds, values = series.setdefault(name, ([], []))
+        rounds.append(round_no)
+        values.append(value)
+    plots.write_line_svg(
+        out / "selection.svg", series, title="candidate-set accuracy by selection round",
+        xlabel="round", ylabel="acc10", comment=stamp,
+    )
+    names = result.selected.names()
+    return {"selected": list(names)}, {"selected": "+".join(names)}
+
+
+def _compare_windows(out, cfg, grid, spec):
+    arch = cfg["train"]["arch"]
+    config = _model_configs(cfg, _spec_tensor_len(spec, grid), (arch,))[arch]
+    result = compare_time_windows(grid, spec, config, arch=arch, **_training_keys(cfg))
+    arms = {f"{w[0]}-{w[1]}": r for w, r in result.reports.items()}
+    _write_arms(out, _stamp(cfg), "window_comparison", "window", arms, "report_window_",
+                "validation MSE by feature window")
+    acc10 = {label: r.metrics.acc10 for label, r in arms.items()}
+    return {"clean_fingerprint": result.clean_fingerprint}, {"acc10": acc10}
+
+
+def _compare_models(out, cfg, grid, spec):
+    configs = _model_configs(cfg, _spec_tensor_len(spec, grid))
+    result = compare_models(
+        grid, spec, configs["lrcn"], arch_configs=configs, **_training_keys(cfg)
+    )
+    _write_arms(out, _stamp(cfg), "model_comparison", "model", result.reports, "report_",
+                "validation MSE by architecture")
+    r2 = {arch: r.metrics.r2 for arch, r in result.reports.items()}
+    return {"dataset_fingerprint": result.dataset_fingerprint}, {"r2": r2}
+
+
+def _compare_snr(out, cfg, grid, spec):
+    configs = _model_configs(cfg, _spec_tensor_len(spec, grid))
+    study = snr_robustness_study(
+        grid, spec, configs["lrcn"], snr_levels=cfg["train"]["snr_levels"],
+        arch_configs=configs, **_training_keys(cfg),
+    )
+    rows = [(snr, arch, *_cells(m)) for snr, arch, m, _ in study.rows]
+    plots.write_csv(out / "snr_comparison.csv", ("snr_db", "model", *_METRIC_COLUMNS),
+                    rows, comment=_stamp(cfg))
+    acc10 = [[snr, arch, acc10] for snr, arch, acc10, _, _ in rows]
+    return {"clean_fingerprint": study.clean_fingerprint}, {"rows": acc10}
+
+
+# Artifact-writing commands: each writes its files into the output directory
+# and returns (manifest fields, summary fields).
+_COMMANDS = {
+    "gen-data": _gen_data,
+    "train": _train,
+    "eval": _eval,
+    "select-features": _select_features,
+    "compare-windows": _compare_windows,
+    "compare-models": _compare_models,
+    "compare-snr": _compare_snr,
+}
+
+
+def run_command(cfg, command):
+    """Run one command under the output lock; write its manifest and summary."""
     with _output_dir(cfg) as out:
-        model = load_model(model_path)
-        grid = _build_grid(cfg)
-        spec = _build_spec(cfg)
-        dataset = _load_or_generate_dataset(cfg, grid, spec, out)
-        if dataset.tensor_length != model.config.input_len:
-            raise CheckpointMismatchError(
-                f"checkpoint expects input length {model.config.input_len}, "
-                f"dataset provides {dataset.tensor_length}"
-            )
-        _, val_set = split(
-            dataset, cfg["train"]["train_fraction"], cfg["train"]["split_seed"]
-        )
-        predictions = predict(model, val_set)
-        metrics = metrics_from_predictions(val_set.labels, predictions)
-        fingerprint = run_fingerprint(cfg)
-        stamp = f"config_fingerprint {fingerprint}"
-        plots.write_scatter_csv(
-            out / "scatter.csv", val_set.labels, predictions, comment=stamp
-        )
-        plots.write_scatter_svg(
-            out / "scatter.svg", val_set.labels, predictions,
-            title="inertia estimate vs label", comment=stamp,
-        )
-        _csv_with_fingerprint(
-            out / "metrics.csv",
-            ("model", "accuracy", "r2", "mse"),
-            [(model.arch, metrics.acc10, metrics.r2, metrics.mse)],
-            fingerprint,
-        )
-        _write_manifest(out, cfg, {"command": "eval", "metrics": vars(metrics)})
-        _summary(
-            command="eval",
-            out=str(out),
-            samples=len(val_set),
-            mse=metrics.mse,
-            r2=metrics.r2,
-            acc10=metrics.acc10,
-        )
+        extra, summary = _COMMANDS[command](out, cfg, _build_grid(cfg), _build_spec(cfg))
+        manifest = {"config": cfg, "config_fingerprint": run_fingerprint(cfg),
+                    "command": command, **extra}
+        text = json.dumps(manifest, indent=2, sort_keys=True)
+        (out / "manifest.json").write_text(text + "\n", encoding="utf-8")
+        print(json.dumps({"command": command, "out": str(out), **summary}, sort_keys=True))
     return 0
 
 
-def cmd_select_features(cfg):
-    with _output_dir(cfg) as out:
-        grid = _build_grid(cfg)
-        spec = _build_spec(cfg)
-        builder = DatasetBuilder(grid, spec)
-        config = _model_config(cfg, _spec_tensor_len(spec, grid))
-        result = wrapper_feature_selection(
-            builder,
-            config,
-            epochs=int(cfg["train"]["epochs"]),
-            split_seed=int(cfg["train"]["split_seed"]),
-            train_seed=int(cfg["train"]["train_seed"]),
-        )
-        fingerprint = run_fingerprint(cfg)
-        rows = []
-        for round_no, scores in enumerate(result.rounds, start=1):
-            for name, value in scores.items():
-                rows.append((round_no, name, value))
-        _csv_with_fingerprint(
-            out / "selection.csv", ("round", "candidate", "acc10"), rows, fingerprint
-        )
-        series = {}
-        for round_no, scores in enumerate(result.rounds, start=1):
-            for name, value in scores.items():
-                series.setdefault(name, ([], []))
-                series[name][0].append(round_no)
-                series[name][1].append(value)
-        if series:
-            plots.write_line_svg(
-                out / "selection.svg", series,
-                title="candidate-set accuracy by selection round",
-                xlabel="round", ylabel="acc10",
-                comment=f"config_fingerprint {fingerprint}",
-            )
-        _write_manifest(
-            out,
-            cfg,
-            {"command": "select-features", "selected": list(result.selected.names())},
-        )
-        _summary(command="select-features", out=str(out),
-                 selected="+".join(result.selected.names()))
-    return 0
-
-
-def cmd_compare_windows(cfg):
-    with _output_dir(cfg) as out:
-        grid = _build_grid(cfg)
-        spec = _build_spec(cfg)
-        config = _model_config(cfg, _spec_tensor_len(spec, grid))
-        comparison = compare_time_windows(
-            grid,
-            spec,
-            config,
-            epochs=int(cfg["train"]["epochs"]),
-            split_seed=int(cfg["train"]["split_seed"]),
-            train_seed=int(cfg["train"]["train_seed"]),
-            arch=cfg["train"]["arch"],
-        )
-        fingerprint = run_fingerprint(cfg)
-        rows = [
-            (f"{w[0]}-{w[1]}", r.metrics.acc10, r.metrics.r2, r.metrics.mse)
-            for w, r in comparison.reports.items()
-        ]
-        _csv_with_fingerprint(
-            out / "window_comparison.csv",
-            ("window", "accuracy", "r2", "mse"),
-            rows,
-            fingerprint,
-        )
-        series = {}
-        for window, report in comparison.reports.items():
-            epochs = list(range(1, len(report.val_curve) + 1))
-            series[f"val {window[0]}-{window[1]}"] = (epochs, list(report.val_curve))
-            report.save(out / f"report_window_{window[0]}-{window[1]}.txt")
-        plots.write_line_svg(
-            out / "window_comparison.svg", series,
-            title="validation MSE by feature window", xlabel="epoch", ylabel="mse",
-            comment=f"config_fingerprint {fingerprint}",
-        )
-        _write_manifest(out, cfg, {"command": "compare-windows",
-                                   "clean_fingerprint": comparison.clean_fingerprint})
-        _summary(command="compare-windows", out=str(out),
-                 acc10={f"{w[0]}-{w[1]}": r.metrics.acc10
-                        for w, r in comparison.reports.items()})
-    return 0
-
-
-def cmd_compare_models(cfg):
-    with _output_dir(cfg) as out:
-        grid = _build_grid(cfg)
-        spec = _build_spec(cfg)
-        config = _model_config(cfg, _spec_tensor_len(spec, grid))
-        comparison = compare_models(
-            grid,
-            spec,
-            config,
-            epochs=int(cfg["train"]["epochs"]),
-            split_seed=int(cfg["train"]["split_seed"]),
-            train_seed=int(cfg["train"]["train_seed"]),
-            arch_configs=_arch_configs(cfg, config),
-        )
-        fingerprint = run_fingerprint(cfg)
-        rows = [
-            (arch, r.metrics.acc10, r.metrics.r2, r.metrics.mse)
-            for arch, r in comparison.reports.items()
-        ]
-        _csv_with_fingerprint(
-            out / "model_comparison.csv",
-            ("model", "accuracy", "r2", "mse"),
-            rows,
-            fingerprint,
-        )
-        series = {}
-        for arch, report in comparison.reports.items():
-            epochs = list(range(1, len(report.val_curve) + 1))
-            series[f"val {arch}"] = (epochs, list(report.val_curve))
-            report.save(out / f"report_{arch}.txt")
-        plots.write_line_svg(
-            out / "model_comparison.svg", series,
-            title="validation MSE by architecture", xlabel="epoch", ylabel="mse",
-            comment=f"config_fingerprint {fingerprint}",
-        )
-        _write_manifest(out, cfg, {"command": "compare-models",
-                                   "dataset_fingerprint": comparison.dataset_fingerprint})
-        _summary(command="compare-models", out=str(out),
-                 r2={arch: r.metrics.r2 for arch, r in comparison.reports.items()})
-    return 0
-
-
-def cmd_compare_snr(cfg):
-    with _output_dir(cfg) as out:
-        grid = _build_grid(cfg)
-        spec = _build_spec(cfg)
-        config = _model_config(cfg, _spec_tensor_len(spec, grid))
-        study = snr_robustness_study(
-            grid,
-            spec,
-            config,
-            epochs=int(cfg["train"]["epochs"]),
-            snr_levels=tuple(float(s) for s in cfg["train"]["snr_levels"]),
-            split_seed=int(cfg["train"]["split_seed"]),
-            train_seed=int(cfg["train"]["train_seed"]),
-            arch_configs=_arch_configs(cfg, config),
-        )
-        fingerprint = run_fingerprint(cfg)
-        rows = [
-            (snr, arch, m.acc10, m.r2, m.mse) for snr, arch, m, _ in study.rows
-        ]
-        _csv_with_fingerprint(
-            out / "snr_comparison.csv",
-            ("snr_db", "model", "accuracy", "r2", "mse"),
-            rows,
-            fingerprint,
-        )
-        _write_manifest(out, cfg, {"command": "compare-snr",
-                                   "clean_fingerprint": study.clean_fingerprint})
-        _summary(command="compare-snr", out=str(out),
-                 rows=[[snr, arch, m.acc10] for snr, arch, m, _ in study.rows])
-    return 0
-
-
-def _inspect_payload(path):
+def cmd_inspect(path):
     blob = Path(path).read_bytes()
     if blob.startswith(DATASET_MAGIC):
-        info = Dataset.header_from_bytes(blob)
-        info["kind"] = "dataset"
-        return info
-    if blob.startswith(MODEL_MAGIC):
-        off = len(MODEL_MAGIC)
-        (header_len,) = struct.unpack_from("<Q", blob, off)
-        header = json.loads(blob[off + 8 : off + 8 + header_len].decode())
-        header["kind"] = "model"
-        return header
-    if blob.startswith(PMU_RECORD_MAGIC):
-        fmt = "<dIQddq"
-        rate, n_buses, n_samples, h_sys, p_e, seed = struct.unpack_from(
-            fmt, blob, len(PMU_RECORD_MAGIC)
-        )
-        return {
-            "kind": "pmu-record",
-            "rate": rate,
-            "n_buses": n_buses,
-            "n_samples": n_samples,
-            "h_sys": h_sys,
-            "probe_amplitude": p_e,
-            "seed": seed,
-        }
-    raise ValueError(f"unrecognized file magic in {path}")
-
-
-def cmd_inspect(cfg, path):
-    print(json.dumps(_inspect_payload(path), sort_keys=True))
+        info = {"kind": "dataset", **Dataset.header_from_bytes(blob)}
+    elif blob.startswith(MODEL_MAGIC):
+        info = {"kind": "model", **read_checkpoint_header(io.BytesIO(blob))}
+    elif blob.startswith(PMU_RECORD_MAGIC):
+        info = {"kind": "pmu-record", **PmuRecordSet.read_header(io.BytesIO(blob))}
+    else:
+        raise ValueError(f"unrecognized file magic in {path}")
+    print(json.dumps(info, sort_keys=True))
     return 0
 
 
@@ -692,15 +487,14 @@ def build_parser():
     return parser
 
 
-_HANDLERS = {
-    "gen-data": cmd_gen_data,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "select-features": cmd_select_features,
-    "compare-windows": cmd_compare_windows,
-    "compare-models": cmd_compare_models,
-    "compare-snr": cmd_compare_snr,
-}
+# Exit code per failure class, most specific first.
+_EXIT_CODES = (
+    (CheckpointMismatchError, EXIT_MISMATCH),
+    (TrainingDivergedError, EXIT_DIVERGED),
+    (GenerationError, EXIT_VALIDATION),
+    (ValueError, EXIT_VALIDATION),
+    (OSError, EXIT_IO),
+)
 
 
 def main(argv=None):
@@ -708,20 +502,11 @@ def main(argv=None):
     try:
         cfg = resolve_config(args)
         if args.command == "inspect":
-            return cmd_inspect(cfg, args.path)
-        return _HANDLERS[args.command](cfg)
-    except CheckpointMismatchError as exc:
+            return cmd_inspect(args.path)
+        return run_command(cfg, args.command)
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except TrainingDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except (CaseParseError, CaseValidationError, GenerationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 PMU_RECORD_MAGIC = b"PMUREC1"
+_RECORD_HEADER = struct.Struct("<dIQddq")
+_RECORD_FIELDS = ("rate", "n_buses", "n_samples", "h_sys", "probe_amplitude", "seed")
 
 
 class InstabilityError(RuntimeError):
@@ -186,8 +188,7 @@ class PmuRecordSet:
         with open(path, "wb") as fh:
             fh.write(PMU_RECORD_MAGIC)
             fh.write(
-                struct.pack(
-                    "<dIQddq",
+                _RECORD_HEADER.pack(
                     self.rate,
                     len(self.bus_ids),
                     self.n_samples,
@@ -200,15 +201,22 @@ class PmuRecordSet:
             for name in self.CHANNELS:
                 fh.write(np.ascontiguousarray(self.channel(name), dtype="<f4").tobytes())
 
+    @staticmethod
+    def read_header(fh):
+        """Magic and fixed header of a record container, read from a binary stream."""
+        magic = fh.read(len(PMU_RECORD_MAGIC))
+        if magic != PMU_RECORD_MAGIC:
+            raise ValueError(f"not a PMU record file: bad magic {magic!r}")
+        raw = fh.read(_RECORD_HEADER.size)
+        if len(raw) < _RECORD_HEADER.size:
+            raise ValueError("PMU record header truncated")
+        return dict(zip(_RECORD_FIELDS, _RECORD_HEADER.unpack(raw)))
+
     @classmethod
     def load(cls, path):
         with open(path, "rb") as fh:
-            magic = fh.read(len(PMU_RECORD_MAGIC))
-            if magic != PMU_RECORD_MAGIC:
-                raise ValueError(f"not a PMU record file: bad magic {magic!r}")
-            rate, n_buses, n_samples, h_sys, p_e, seed = struct.unpack(
-                "<dIQddq", fh.read(struct.calcsize("<dIQddq"))
-            )
+            header = cls.read_header(fh)
+            n_buses, n_samples = header.pop("n_buses"), header.pop("n_samples")
             bus_ids = tuple(np.frombuffer(fh.read(4 * n_buses), dtype="<u4").tolist())
             chans = {}
             for name in cls.CHANNELS:
@@ -218,27 +226,7 @@ class PmuRecordSet:
                     .reshape(n_buses, n_samples)
                     .astype(np.float64)
                 )
-        return cls(
-            rate=rate,
-            bus_ids=bus_ids,
-            h_sys=h_sys,
-            probe_amplitude=p_e,
-            seed=seed,
-            **chans,
-        )
-
-    def to_csv(self, path):
-        """Lossless text export: time column plus one column per channel/bus."""
-        header = ["time"] + [
-            f"{name}_bus{b}" for name in self.CHANNELS for b in self.bus_ids
-        ]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for j in range(self.n_samples):
-                row = [repr(j / self.rate)]
-                for name in self.CHANNELS:
-                    row.extend(repr(float(v)) for v in self.channel(name)[:, j])
-                fh.write(",".join(row) + "\n")
+        return cls(bus_ids=bus_ids, **header, **chans)
 
 
 def swing_rhs(state, net, injection):

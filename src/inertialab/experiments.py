@@ -61,7 +61,6 @@ __all__ = [
     "configs_by_arch",
     "default_h_grid",
     "paper_amplitude_grid",
-    "narrow_amplitude_grid",
     "desk_amplitude_grid",
     "generate_dataset",
     "split",
@@ -87,11 +86,6 @@ def default_h_grid():
 def paper_amplitude_grid():
     """100 probe amplitudes, 0.0001 to 0.0100 p.u. in 0.0001 steps."""
     return tuple(k / 10000.0 for k in range(1, 101))
-
-
-def narrow_amplitude_grid():
-    """Alternative 91-value grid, 0.0010 to 0.0100 p.u. in 0.0001 steps."""
-    return tuple(k / 10000.0 for k in range(10, 101))
 
 
 def desk_amplitude_grid():
@@ -132,6 +126,13 @@ class DatasetSpec:
     target_rate: float = 200.0
     probe: ProbingSignal = ProbingSignal()
     sim: SimConfig = SimConfig()
+
+    def __post_init__(self):
+        for name in ("h_values", "amplitudes", "window"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "features", FeatureSet(self.features))
+        if len(self.window) != 2:
+            raise ValueError(f"window needs (start, stop), got {self.window}")
 
     @property
     def n_samples(self):
@@ -520,7 +521,8 @@ class SelectionResult:
 
 
 def wrapper_feature_selection(builder, config, epochs, split_seed=0, train_seed=0,
-                              candidates=None, scorer=None, snr_db=None, window=None):
+                              candidates=None, scorer=None, snr_db=None, window=None,
+                              train_fraction=0.8):
     """Greedy forward selection driven by validation 10 %-accuracy.
 
     Starting from the empty set, each round adds the candidate whose
@@ -531,7 +533,8 @@ def wrapper_feature_selection(builder, config, epochs, split_seed=0, train_seed=
     if not candidates:
         raise ValueError("need at least one candidate feature")
     if scorer is None:
-        scorer = SubsetScorer(builder, config, epochs, split_seed, train_seed)
+        scorer = SubsetScorer(builder, config, epochs, split_seed, train_seed,
+                              train_fraction)
 
     current = []
     current_score = -math.inf
@@ -576,35 +579,16 @@ def exhaustive_subset_scores(builder, config, epochs, split_seed=0, train_seed=0
 
 # -- comparative studies --------------------------------------------------
 
-_METRIC_COLUMNS = "accuracy,r2,mse"
-
-
-def _metrics_cells(metrics):
-    return f"{metrics.acc10!r},{metrics.r2!r},{metrics.mse!r}"
-
-
 @dataclass
 class WindowComparison:
     reports: dict  # window tuple -> TrainReport
     clean_fingerprint: str
-
-    def to_csv(self):
-        lines = [f"window,{_METRIC_COLUMNS}"]
-        for window, report in self.reports.items():
-            lines.append(f"{window[0]}-{window[1]},{_metrics_cells(report.metrics)}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass
 class ModelComparison:
     reports: dict  # arch -> TrainReport
     dataset_fingerprint: str
-
-    def to_csv(self):
-        lines = [f"model,{_METRIC_COLUMNS}"]
-        for arch, report in self.reports.items():
-            lines.append(f"{arch},{_metrics_cells(report.metrics)}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -613,22 +597,16 @@ class SnrStudy:
     clean_fingerprint: str
     selections: dict | None = None  # snr_db -> SelectionResult
 
-    def to_csv(self):
-        lines = [f"snr_db,model,{_METRIC_COLUMNS}"]
-        for snr_db, arch, metrics, _ in self.rows:
-            lines.append(f"{snr_db},{arch},{_metrics_cells(metrics)}")
-        return "\n".join(lines) + "\n"
-
 
 def compare_time_windows(grid, spec, config, epochs, split_seed=0, train_seed=0,
                          arch="lrcn", windows=((0.0, 1.0), (0.5, 1.5)),
-                         builder=None):
+                         builder=None, train_fraction=0.8):
     """Train identical models on two feature windows of the same records."""
     builder = builder or DatasetBuilder(grid, spec)
     reports = {}
     for window in windows:
         dataset = builder.build(window=window)
-        train_set, val_set = split(dataset, 0.8, split_seed)
+        train_set, val_set = split(dataset, train_fraction, split_seed)
         _, report = train(config, train_set, val_set, epochs, train_seed, arch)
         reports[tuple(window)] = report
     return WindowComparison(reports=reports, clean_fingerprint=builder.clean_fingerprint())
@@ -641,25 +619,26 @@ def compare_time_windows(grid, spec, config, epochs, split_seed=0, train_seed=0,
 CNN_BASELINE_LR = 1e-4
 
 
-def configs_by_arch(config, archs=("lrcn", "cnn")):
+def configs_by_arch(config, archs=("lrcn", "cnn"), cnn_learning_rate=CNN_BASELINE_LR):
     """Per-architecture training configs sharing everything but the rate."""
     out = {}
     for arch in archs:
         if arch == "cnn":
-            out[arch] = replace(config, learning_rate=CNN_BASELINE_LR)
+            out[arch] = replace(config, learning_rate=cnn_learning_rate)
         else:
             out[arch] = config
     return out
 
 
 def compare_models(grid, spec, config, epochs, split_seed=0, train_seed=0,
-                   archs=("lrcn", "cnn"), builder=None, arch_configs=None):
+                   archs=("lrcn", "cnn"), builder=None, arch_configs=None,
+                   train_fraction=0.8):
     """Train the recurrent and flatten baselines on one shared dataset."""
     builder = builder or DatasetBuilder(grid, spec)
     arch_configs = arch_configs or configs_by_arch(config, archs)
     dataset = builder.build()
     fingerprint = sha256_hex(dataset.to_bytes())
-    train_set, val_set = split(dataset, 0.8, split_seed)
+    train_set, val_set = split(dataset, train_fraction, split_seed)
     reports = {}
     for arch in archs:
         _, report = train(arch_configs[arch], train_set, val_set, epochs,
@@ -671,7 +650,7 @@ def compare_models(grid, spec, config, epochs, split_seed=0, train_seed=0,
 def snr_robustness_study(grid, spec, config, epochs, snr_levels=(60.0, 45.0),
                          split_seed=0, train_seed=0, archs=("lrcn", "cnn"),
                          run_feature_selection=False, builder=None,
-                         arch_configs=None):
+                         arch_configs=None, train_fraction=0.8):
     """Measure degradation under noise, reusing one set of clean records."""
     if not snr_levels:
         raise ValueError("need at least one SNR level")
@@ -682,14 +661,15 @@ def snr_robustness_study(grid, spec, config, epochs, snr_levels=(60.0, 45.0),
     for snr_db in snr_levels:
         dataset = builder.build(snr_db=snr_db)
         fingerprint = sha256_hex(dataset.to_bytes())
-        train_set, val_set = split(dataset, 0.8, split_seed)
+        train_set, val_set = split(dataset, train_fraction, split_seed)
         for arch in archs:
             _, report = train(arch_configs[arch], train_set, val_set, epochs,
                               train_seed, arch)
             rows.append((float(snr_db), arch, report.metrics, fingerprint))
         if run_feature_selection:
             selections[float(snr_db)] = wrapper_feature_selection(
-                builder, config, epochs, split_seed, train_seed, snr_db=snr_db
+                builder, config, epochs, split_seed, train_seed, snr_db=snr_db,
+                train_fraction=train_fraction,
             )
     return SnrStudy(
         rows=tuple(rows),

@@ -418,33 +418,22 @@ def _parse_case_text(text):
             raise CaseParseError(line_no, str(exc)) from exc
     if not seen_header:
         raise CaseParseError(0, "empty case file")
-    return buses, branches, gens, monitored
+    return GridModel(
+        buses=tuple(buses),
+        branches=tuple(branches),
+        generators=tuple(gens),
+        system_base=sum(g.rated_power for g in gens),
+        monitored_buses=tuple(monitored),
+    )
 
 
 def load_case(path):
     """Parse and validate an INERTIA-CASE v1 file into a ``GridModel``."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    buses, branches, gens, monitored = _parse_case_text(text)
-    system_base = sum(g.rated_power for g in gens)
-    return GridModel(
-        buses=tuple(buses),
-        branches=tuple(branches),
-        generators=tuple(gens),
-        system_base=system_base,
-        monitored_buses=tuple(monitored),
-    )
+        return _parse_case_text(fh.read())
 
 
 def load_default_case():
     """The bundled 24-bus study case (38 branches, 38 units, 10 PMU buses)."""
     ref = resources.files("inertialab.cases").joinpath("ieee24.case")
-    buses, branches, gens, monitored = _parse_case_text(ref.read_text(encoding="utf-8"))
-    system_base = sum(g.rated_power for g in gens)
-    return GridModel(
-        buses=tuple(buses),
-        branches=tuple(branches),
-        generators=tuple(gens),
-        system_base=system_base,
-        monitored_buses=tuple(monitored),
-    )
+    return _parse_case_text(ref.read_text(encoding="utf-8"))

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import layers
 
-__all__ = ["LrcnConfig", "LrcnModel", "CnnModel", "make_model", "load_model"]
+__all__ = ["LrcnConfig", "LrcnModel", "CnnModel", "make_model", "load_model",
+           "read_checkpoint_header"]
 
 MODEL_MAGIC = b"LRCNMDL1"
 # An open forget gate at init lets the final state reflect the whole
@@ -327,17 +328,26 @@ def make_model(arch, config):
     return cls.initialize(config)
 
 
+def read_checkpoint_header(fh):
+    """Magic and JSON header (architecture, config) of a checkpoint stream."""
+    magic = fh.read(len(MODEL_MAGIC))
+    if magic != MODEL_MAGIC:
+        raise ValueError(f"not a model checkpoint: bad magic {magic!r}")
+    raw = fh.read(8)
+    if len(raw) < 8:
+        raise ValueError("checkpoint header truncated")
+    (header_len,) = struct.unpack("<Q", raw)
+    text = fh.read(header_len)
+    if len(text) < header_len:
+        raise ValueError("checkpoint header truncated")
+    return json.loads(text.decode())
+
+
 def load_model(path):
     """Reload a checkpoint; forward passes match the saved model bit-exactly."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(MODEL_MAGIC))
-        if magic != MODEL_MAGIC:
-            raise ValueError(f"not a model checkpoint: bad magic {magic!r}")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode())
-        cfg_dict = dict(header["config"])
-        cfg_dict["head_sizes"] = tuple(cfg_dict["head_sizes"])
-        config = LrcnConfig(**cfg_dict)
+        header = read_checkpoint_header(fh)
+        config = LrcnConfig(**header["config"])
         (n_params,) = struct.unpack("<I", fh.read(4))
         params = {}
         for _ in range(n_params):

@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 DATASET_MAGIC = b"INRDSET1"
+# n_samples, tensor_len, feature bitmask, n_buses, window start and stop,
+# snr_db, n_channels
+_DATASET_HEADER = struct.Struct("<QQIIdddQ")
 
 
 class Feature(enum.IntEnum):
@@ -67,7 +70,10 @@ class FeatureSet:
     def __init__(self, members):
         feats = []
         for m in members:
-            feats.append(m if isinstance(m, Feature) else _FEATURE_BY_NAME[str(m)])
+            feat = m if isinstance(m, Feature) else _FEATURE_BY_NAME.get(str(m))
+            if feat is None:
+                raise ValueError(f"unknown feature {m!r}")
+            feats.append(feat)
         if not feats:
             raise ValueError("feature set must not be empty")
         if len(set(feats)) != len(feats):
@@ -325,8 +331,7 @@ class Dataset:
 
     def to_bytes(self):
         """Serialize to the documented little-endian container."""
-        head = struct.pack(
-            "<QQIIdddQ",
+        head = _DATASET_HEADER.pack(
             len(self),
             self.tensor_length,
             self.features.bitmask,
@@ -354,11 +359,7 @@ class Dataset:
 
     @classmethod
     def header_from_bytes(cls, blob):
-        if blob[: len(DATASET_MAGIC)] != DATASET_MAGIC:
-            raise ValueError("not a dataset file: bad magic")
-        fmt = "<QQIIdddQ"
-        fields = struct.unpack_from(fmt, blob, len(DATASET_MAGIC))
-        n, length, mask, n_buses, t0, t1, snr_db, n_chan = fields
+        n, length, mask, n_buses, t0, t1, snr_db, n_chan = _read_header(blob)
         return {
             "n_samples": n,
             "tensor_length": length,
@@ -371,14 +372,8 @@ class Dataset:
 
     @classmethod
     def from_bytes(cls, blob):
-        if blob[: len(DATASET_MAGIC)] != DATASET_MAGIC:
-            raise ValueError("not a dataset file: bad magic")
-        fmt = "<QQIIdddQ"
-        off = len(DATASET_MAGIC)
-        n, length, mask, n_buses, t0, t1, snr_db, n_chan = struct.unpack_from(
-            fmt, blob, off
-        )
-        off += struct.calcsize(fmt)
+        n, length, mask, n_buses, t0, t1, snr_db, n_chan = _read_header(blob)
+        off = len(DATASET_MAGIC) + _DATASET_HEADER.size
         minima = np.frombuffer(blob, dtype="<f8", count=n_chan, offset=off).copy()
         off += 8 * n_chan
         maxima = np.frombuffer(blob, dtype="<f8", count=n_chan, offset=off).copy()
@@ -404,3 +399,12 @@ class Dataset:
     def load(cls, path):
         with open(path, "rb") as fh:
             return cls.from_bytes(fh.read())
+
+
+def _read_header(blob):
+    """Fixed INRDSET1 header fields, after checking the magic and length."""
+    if blob[: len(DATASET_MAGIC)] != DATASET_MAGIC:
+        raise ValueError("not a dataset file: bad magic")
+    if len(blob) < len(DATASET_MAGIC) + _DATASET_HEADER.size:
+        raise ValueError("dataset header truncated")
+    return _DATASET_HEADER.unpack_from(blob, len(DATASET_MAGIC))

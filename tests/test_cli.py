@@ -2,11 +2,15 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from inertialab.cli import main
+from inertialab.dynamics import ProbingSignal, SimConfig
+from inertialab.experiments import TrainReport
+from inertialab.nn.model import LrcnConfig
 from inertialab.signals import Dataset
 
 OMEGA = 2.0 * math.pi * 60.0
@@ -205,8 +209,12 @@ class TestInspect:
 
     def test_unknown_file(self, tmp_path, capsys):
         path = tmp_path / "mystery.bin"
-        path.write_bytes(b"???")
-        assert main(["inspect", str(path)]) == 3
+        # unknown magic, then each container cut inside its fixed header
+        for blob in (b"???", b"INRDSET1\0\0", b"LRCNMDL1\0\0", b"PMUREC1\0\0"):
+            path.write_bytes(blob)
+            assert main(["inspect", str(path)]) == 3, blob
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestComparisons:
@@ -243,6 +251,25 @@ class TestComparisons:
         assert rows[0] == "model,accuracy,r2,mse"
         assert {r.split(",")[0] for r in rows[1:]} == {"lrcn", "cnn"}
 
+    def test_compare_models_honours_train_fraction(self, tiny_case, tmp_path):
+        def rows(out, *extra):
+            args = [*self.common(tiny_case, out), "--set", "model.batch_size=3", *extra]
+            assert main(["compare-models", *args]) == 0
+            text = (out / "model_comparison.csv").read_text().splitlines()
+            return [ln for ln in text if not ln.startswith("#")]
+
+        assert rows(tmp_path / "a") != rows(tmp_path / "b", "--set", "train.train_fraction=0.5")
+
+    def test_compare_windows_cnn_uses_cnn_rate(self, tiny_case, tmp_path):
+        out = tmp_path / "win"
+        assert main([
+            "compare-windows", *self.common(tiny_case, out),
+            "--set", "train.arch=cnn", "--set", "train.cnn_learning_rate=0.0003",
+        ]) == 0
+        report = TrainReport.load(out / "report_window_0.0-1.0.txt")
+        assert report.arch == "cnn"
+        assert report.lr_trace == (0.0003,)
+
     def test_compare_snr(self, tiny_case, tmp_path, capsys):
         out = tmp_path / "snr"
         assert main(["compare-snr", *self.common(tiny_case, out)]) == 0
@@ -276,6 +303,14 @@ class TestConfigLayering:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["model"]["sequence_stride"] == 8
         assert manifest["config"]["train"]["epochs"] == 60
+        # the dataclass defaults, bar the desk stride and the derived input length
+        model = {**asdict(LrcnConfig()), "head_sizes": [64, 16], "sequence_stride": 8}
+        del model["input_len"]
+        assert manifest["config"]["model"] == model
+        assert manifest["config"]["dataset"]["probe"] == asdict(ProbingSignal())
+        sim = asdict(SimConfig())
+        del sim["reference"]
+        assert manifest["config"]["dataset"]["sim"] == sim
 
     def test_config_file_plus_overrides(self, tiny_case, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -301,9 +336,28 @@ class TestConfigLayering:
         assert manifest["config"]["dataset"]["base_seed"] == 42
         assert manifest["config"]["model"]["seed"] == 42
 
-    def test_unknown_key_rejected(self, tiny_case, tmp_path):
-        rc = main(gen_args(tiny_case, tmp_path / "x") + ["--set", "dataset.bogus=1"])
-        assert rc == 3
+    def test_unknown_key_rejected(self, tiny_case, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cases = [  # (config file content or None, --set assignments)
+            (None, ["dataset.bogus=1"]),
+            ({"bogus": 1, "dataset": {"h_valuez": [1]}}, []),
+            ({"dataset": 5}, []),
+            ([1, 2], []),
+            (None, ["dataset=5"]),
+            (None, ["dataset.window=[0.0]"]),
+            (None, ['dataset.features=["speeed"]']),
+        ]
+        for config, assignments in cases:
+            args = gen_args(tiny_case, tmp_path / "x")
+            if config is not None:
+                cfg_file.write_text(json.dumps(config))
+                args += ["--config", str(cfg_file)]
+            for assignment in assignments:
+                args += ["--set", assignment]
+            assert main(args) == 3, (config, assignments)
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "x" / "manifest.json").exists()
 
     def test_svg_outputs_deterministic(self, tiny_case, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -300,15 +300,3 @@ class TestRecordContainer:
             np.testing.assert_array_equal(
                 back.channel(name), rec.channel(name).astype(np.float32).astype(np.float64)
             )
-
-    def test_csv_export_lossless(self, tmp_path):
-        rec = self.make_record()
-        path = tmp_path / "rec.csv"
-        rec.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == rec.n_samples + 1
-        header = lines[0].split(",")
-        assert header[0] == "time"
-        assert len(header) == 1 + 3 * len(rec.bus_ids)
-        probe_row = lines[1 + 600].split(",")  # sample at t > probe start
-        assert float(probe_row[1]) == rec.speed[0, 600]

@@ -20,7 +20,6 @@ from inertialab.experiments import (
     exhaustive_subset_scores,
     generate_dataset,
     metrics_from_predictions,
-    narrow_amplitude_grid,
     paper_amplitude_grid,
     predict,
     split,
@@ -74,7 +73,6 @@ class TestGrids:
         assert len(paper) == 100
         assert paper[0] == pytest.approx(0.0001)
         assert paper[-1] == pytest.approx(0.01)
-        assert len(narrow_amplitude_grid()) == 91
         assert len(desk_amplitude_grid()) == 20
 
     def test_spec_sample_count(self):
