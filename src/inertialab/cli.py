@@ -32,6 +32,7 @@ from .experiments import (
     DatasetBuilder,
     DatasetSpec,
     GenerationError,
+    SubsetScorer,
     TrainingDivergedError,
     compare_models,
     compare_time_windows,
@@ -57,6 +58,9 @@ EXIT_DIVERGED = 5
 # Library fields the CLI does not expose: the model input length follows
 # from the dataset, and the angle reference has one supported value.
 _UNEXPOSED = ("input_len", "reference")
+
+# Keys naming a file: null or a string.
+_PATH_KEYS = ("case", "paths.dataset", "paths.model")
 
 # Where each profile departs from the library defaults.
 _PROFILE_DELTAS = {
@@ -118,16 +122,19 @@ def _profile_defaults(profile):
     return cfg
 
 
-def _fits(default, value):
+def _fits(default, value, path=False):
     """Whether ``value`` has the JSON kind of ``default``.
 
-    A float default takes any number, a null default takes null, an integer
-    or a string, and list items are checked against the default's first item.
+    A path key takes null or a string, any other null default null or an
+    integer, a float default any number; list items are checked against the
+    default's first item.
     """
     if isinstance(value, (bool, dict)):
         return False
+    if path:
+        return value is None or isinstance(value, str)
     if default is None:
-        return value is None or isinstance(value, (int, str))
+        return value is None or isinstance(value, int)
     if isinstance(default, list):
         return isinstance(value, list) and all(_fits(default[0], v) for v in value)
     if isinstance(default, float):
@@ -145,7 +152,7 @@ def _override(cfg, defaults, values, prefix=""):
             if not isinstance(value, dict):
                 raise ValueError(f"config group {name!r} needs a JSON object, got {value!r}")
             _override(cfg[key], defaults[key], value, name + ".")
-        elif _fits(defaults[key], value):
+        elif _fits(defaults[key], value, path=name in _PATH_KEYS):
             cfg[key] = value
         else:
             raise ValueError(f"config key {name!r} has the wrong type: {value!r}")
@@ -188,8 +195,6 @@ def resolve_config(args):
                        ("train", "split_seed"), ("train", "train_seed")):
         if cfg[group][key] is None:
             cfg[group][key] = cfg["seed"]
-        elif not isinstance(cfg[group][key], int):
-            raise ValueError(f"config key '{group}.{key}' needs an integer or null")
     return cfg
 
 
@@ -355,10 +360,11 @@ def _write_arms(out, stamp, name, column, arms, report_prefix, title):
 
 
 def _select_features(out, cfg, grid, spec):
-    config = _model_configs(cfg, _spec_tensor_len(spec, grid))["lrcn"]
-    result = wrapper_feature_selection(
-        DatasetBuilder(grid, spec), config, **_training_keys(cfg)
-    )
+    arch = cfg["train"]["arch"]
+    config = _model_configs(cfg, _spec_tensor_len(spec, grid), (arch,))[arch]
+    scorer = SubsetScorer(DatasetBuilder(grid, spec), config, arch=arch,
+                          **_training_keys(cfg))
+    result = wrapper_feature_selection(scorer)
     stamp = _stamp(cfg)
     rows = [
         (round_no, name, value)
@@ -394,9 +400,7 @@ def _compare_windows(out, cfg, grid, spec):
 
 def _compare_models(out, cfg, grid, spec):
     configs = _model_configs(cfg, _spec_tensor_len(spec, grid))
-    result = compare_models(
-        grid, spec, configs["lrcn"], arch_configs=configs, **_training_keys(cfg)
-    )
+    result = compare_models(grid, spec, configs, **_training_keys(cfg))
     _write_arms(out, _stamp(cfg), "model_comparison", "model", result.reports, "report_",
                 "validation MSE by architecture")
     r2 = {arch: r.metrics.r2 for arch, r in result.reports.items()}
@@ -406,8 +410,7 @@ def _compare_models(out, cfg, grid, spec):
 def _compare_snr(out, cfg, grid, spec):
     configs = _model_configs(cfg, _spec_tensor_len(spec, grid))
     study = snr_robustness_study(
-        grid, spec, configs["lrcn"], snr_levels=cfg["train"]["snr_levels"],
-        arch_configs=configs, **_training_keys(cfg),
+        grid, spec, configs, snr_levels=cfg["train"]["snr_levels"], **_training_keys(cfg)
     )
     rows = [(snr, arch, *_cells(m)) for snr, arch, m, _ in study.rows]
     plots.write_csv(out / "snr_comparison.csv", ("snr_db", "model", *_METRIC_COLUMNS),

@@ -229,6 +229,18 @@ class PmuRecordSet:
         return cls(bus_ids=bus_ids, **header, **chans)
 
 
+def _swing_derivative(net, theta, dw, injection=None):
+    """Derivatives (theta_dot, dw_dot) of angle and speed rows of shape [..., n].
+
+    ``injection`` is the probe power per machine (p.u.) broadcast against the
+    rows; ``None`` means the probe is off and skips the add.
+    """
+    s, c = np.sin(theta), np.cos(theta)
+    p_elec = s * (c @ net.coupling) - c * (s @ net.coupling)
+    drive = net.injections if injection is None else net.injections + injection
+    return net.sync_speed * dw, (drive - p_elec - net.damping * dw) / net.inertia
+
+
 def swing_rhs(state, net, injection):
     """Time derivative of the stacked state [theta, dw] under ``injection``.
 
@@ -242,11 +254,7 @@ def swing_rhs(state, net, injection):
     injection = np.asarray(injection, dtype=np.float64)
     if injection.shape != (n,):
         raise ValueError(f"injection must have shape ({n},), got {injection.shape}")
-    theta, dw = state[:n], state[n:]
-    s, c = np.sin(theta), np.cos(theta)
-    p_elec = s * (net.coupling @ c) - c * (net.coupling @ s)
-    acc = (net.injections + injection - p_elec - net.damping * dw) / net.inertia
-    return np.concatenate([net.sync_speed * dw, acc])
+    return np.concatenate(_swing_derivative(net, state[:n], state[n:], injection))
 
 
 def single_machine_response(inertia_coeff, damping, power_step, t):
@@ -275,7 +283,7 @@ def _injection_row(net, probe):
     return row
 
 
-def _integrate_amplitudes(net, probe, cfg, amplitudes, monitored=None):
+def _integrate_amplitudes(net, probe, cfg, amplitudes, monitored):
     """Integrate one probe shape at several amplitudes in lockstep.
 
     All trajectories share timing, topology and the PRBS chip sequence; they
@@ -285,15 +293,10 @@ def _integrate_amplitudes(net, probe, cfg, amplitudes, monitored=None):
     amplitudes = np.asarray(amplitudes, dtype=np.float64)
     k = len(amplitudes)
     n = net.n
-    if monitored is None:
-        monitored = net.buses
     keep = np.array([net.machine_index(b) for b in monitored], dtype=np.intp)
 
-    unit_row = _injection_row(net, probe)
-    inj = amplitudes[:, None] * unit_row[None, :]  # [k, n]
-    m, d, p_in = net.inertia, net.damping, net.injections
-    coupling = net.coupling
-    omega_s = net.sync_speed
+    inj = amplitudes[:, None] * _injection_row(net, probe)[None, :]  # [k, n]
+    m = net.inertia
     m_total = m.sum()
 
     n_samples = cfg.n_samples
@@ -308,11 +311,8 @@ def _integrate_amplitudes(net, probe, cfg, amplitudes, monitored=None):
     angle = np.empty((n_samples, k, n))
 
     def rhs(t, th, w):
-        s, c = np.sin(th), np.cos(th)
-        p_e = s * (c @ coupling) - c * (s @ coupling)
         u = _base_waveform(probe, t)
-        drive = p_in + u * inj if u else p_in
-        return omega_s * w, (drive - p_e - d * w) / m
+        return _swing_derivative(net, th, w, u * inj if u else None)
 
     h = 1.0 / steps_hz
     for step in range(total_steps + 1):
@@ -335,12 +335,7 @@ def _integrate_amplitudes(net, probe, cfg, amplitudes, monitored=None):
         theta = theta + (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
         dw = dw + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
 
-    sel = (
-        speed.transpose(1, 2, 0)[:, keep, :],
-        rocof.transpose(1, 2, 0)[:, keep, :],
-        angle.transpose(1, 2, 0)[:, keep, :],
-    )
-    return sel
+    return tuple(ch.transpose(1, 2, 0)[:, keep, :] for ch in (speed, rocof, angle))
 
 
 def integrate(net, probe, cfg, monitored=None, h_sys=float("nan")):
@@ -350,10 +345,9 @@ def integrate(net, probe, cfg, monitored=None, h_sys=float("nan")):
     bus, which for the bundled case is exactly the PMU set).  ``h_sys`` is
     carried as label metadata.
     """
-    if monitored is None:
-        monitored = net.buses
+    monitored = net.buses if monitored is None else monitored
     speed, rocof, angle = _integrate_amplitudes(
-        net, probe, cfg, [probe.amplitude], monitored=monitored
+        net, probe, cfg, [probe.amplitude], monitored
     )
     return PmuRecordSet(
         rate=float(cfg.pmu_rate),

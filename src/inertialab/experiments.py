@@ -486,7 +486,11 @@ def train(config, train_set, val_set, epochs, seed=0, arch="lrcn"):
 
 
 class SubsetScorer:
-    """Memoized validation score of a feature subset under fixed seeds."""
+    """Memoized validation score of a feature subset under fixed seeds.
+
+    Each subset's dataset is built by ``builder``, split, and trains an
+    ``arch`` model at ``config`` for ``epochs``; the score is its acc10.
+    """
 
     def __init__(self, builder, config, epochs, split_seed=0, train_seed=0,
                  train_fraction=0.8, arch="lrcn"):
@@ -520,21 +524,17 @@ class SelectionResult:
     scores: dict  # frozenset of Feature -> acc10, every evaluated subset
 
 
-def wrapper_feature_selection(builder, config, epochs, split_seed=0, train_seed=0,
-                              candidates=None, scorer=None, snr_db=None, window=None,
-                              train_fraction=0.8):
+def wrapper_feature_selection(scorer, candidates=None, snr_db=None, window=None):
     """Greedy forward selection driven by validation 10 %-accuracy.
 
     Starting from the empty set, each round adds the candidate whose
-    inclusion maximizes validation accuracy (canonical feature order breaks
-    ties) and stops when no addition strictly improves the score.
+    inclusion maximizes the ``scorer``'s validation accuracy (canonical
+    feature order breaks ties) and stops when no addition strictly improves
+    the score.
     """
     candidates = sorted(candidates if candidates is not None else list(Feature))
     if not candidates:
         raise ValueError("need at least one candidate feature")
-    if scorer is None:
-        scorer = SubsetScorer(builder, config, epochs, split_seed, train_seed,
-                              train_fraction)
 
     current = []
     current_score = -math.inf
@@ -564,12 +564,9 @@ def wrapper_feature_selection(builder, config, epochs, split_seed=0, train_seed=
     )
 
 
-def exhaustive_subset_scores(builder, config, epochs, split_seed=0, train_seed=0,
-                             candidates=None, scorer=None, snr_db=None, window=None):
+def exhaustive_subset_scores(scorer, candidates=None, snr_db=None, window=None):
     """Score every non-empty candidate subset (brute-force oracle)."""
     candidates = sorted(candidates if candidates is not None else list(Feature))
-    if scorer is None:
-        scorer = SubsetScorer(builder, config, epochs, split_seed, train_seed)
     out = {}
     for size in range(1, len(candidates) + 1):
         for combo in itertools.combinations(candidates, size):
@@ -595,14 +592,13 @@ class ModelComparison:
 class SnrStudy:
     rows: tuple  # (snr_db, arch, Metrics, dataset fingerprint)
     clean_fingerprint: str
-    selections: dict | None = None  # snr_db -> SelectionResult
 
 
 def compare_time_windows(grid, spec, config, epochs, split_seed=0, train_seed=0,
                          arch="lrcn", windows=((0.0, 1.0), (0.5, 1.5)),
-                         builder=None, train_fraction=0.8):
+                         train_fraction=0.8):
     """Train identical models on two feature windows of the same records."""
-    builder = builder or DatasetBuilder(grid, spec)
+    builder = DatasetBuilder(grid, spec)
     reports = {}
     for window in windows:
         dataset = builder.build(window=window)
@@ -630,49 +626,33 @@ def configs_by_arch(config, archs=("lrcn", "cnn"), cnn_learning_rate=CNN_BASELIN
     return out
 
 
-def compare_models(grid, spec, config, epochs, split_seed=0, train_seed=0,
-                   archs=("lrcn", "cnn"), builder=None, arch_configs=None,
+def compare_models(grid, spec, configs, epochs, split_seed=0, train_seed=0,
                    train_fraction=0.8):
-    """Train the recurrent and flatten baselines on one shared dataset."""
-    builder = builder or DatasetBuilder(grid, spec)
-    arch_configs = arch_configs or configs_by_arch(config, archs)
-    dataset = builder.build()
+    """Train each architecture of ``configs`` (arch -> config) on one dataset."""
+    dataset = DatasetBuilder(grid, spec).build()
     fingerprint = sha256_hex(dataset.to_bytes())
     train_set, val_set = split(dataset, train_fraction, split_seed)
     reports = {}
-    for arch in archs:
-        _, report = train(arch_configs[arch], train_set, val_set, epochs,
-                          train_seed, arch)
-        reports[arch] = report
+    for arch, config in configs.items():
+        _, reports[arch] = train(config, train_set, val_set, epochs, train_seed, arch)
     return ModelComparison(reports=reports, dataset_fingerprint=fingerprint)
 
 
-def snr_robustness_study(grid, spec, config, epochs, snr_levels=(60.0, 45.0),
-                         split_seed=0, train_seed=0, archs=("lrcn", "cnn"),
-                         run_feature_selection=False, builder=None,
-                         arch_configs=None, train_fraction=0.8):
-    """Measure degradation under noise, reusing one set of clean records."""
+def snr_robustness_study(grid, spec, configs, epochs, snr_levels=(60.0, 45.0),
+                         split_seed=0, train_seed=0, train_fraction=0.8):
+    """Measure degradation under noise, reusing one set of clean records.
+
+    ``configs`` maps each architecture to train at every level to its config.
+    """
     if not snr_levels:
         raise ValueError("need at least one SNR level")
-    builder = builder or DatasetBuilder(grid, spec)
-    arch_configs = arch_configs or configs_by_arch(config, archs)
+    builder = DatasetBuilder(grid, spec)
     rows = []
-    selections = {} if run_feature_selection else None
     for snr_db in snr_levels:
         dataset = builder.build(snr_db=snr_db)
         fingerprint = sha256_hex(dataset.to_bytes())
         train_set, val_set = split(dataset, train_fraction, split_seed)
-        for arch in archs:
-            _, report = train(arch_configs[arch], train_set, val_set, epochs,
-                              train_seed, arch)
+        for arch, config in configs.items():
+            _, report = train(config, train_set, val_set, epochs, train_seed, arch)
             rows.append((float(snr_db), arch, report.metrics, fingerprint))
-        if run_feature_selection:
-            selections[float(snr_db)] = wrapper_feature_selection(
-                builder, config, epochs, split_seed, train_seed, snr_db=snr_db,
-                train_fraction=train_fraction,
-            )
-    return SnrStudy(
-        rows=tuple(rows),
-        clean_fingerprint=builder.clean_fingerprint(),
-        selections=selections,
-    )
+    return SnrStudy(rows=tuple(rows), clean_fingerprint=builder.clean_fingerprint())

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -329,7 +329,11 @@ def make_model(arch, config):
 
 
 def read_checkpoint_header(fh):
-    """Magic and JSON header (architecture, config) of a checkpoint stream."""
+    """Magic and JSON header (architecture, config) of a checkpoint stream.
+
+    Rejects a header that is not a JSON object, names an unknown
+    architecture or holds a config key ``LrcnConfig`` does not have.
+    """
     magic = fh.read(len(MODEL_MAGIC))
     if magic != MODEL_MAGIC:
         raise ValueError(f"not a model checkpoint: bad magic {magic!r}")
@@ -340,7 +344,18 @@ def read_checkpoint_header(fh):
     text = fh.read(header_len)
     if len(text) < header_len:
         raise ValueError("checkpoint header truncated")
-    return json.loads(text.decode())
+    header = json.loads(text.decode())
+    if not isinstance(header, dict):
+        raise ValueError("checkpoint header is not a JSON object")
+    if header.get("arch") not in tuple(_ARCHS):  # a tuple: no hashing of odd values
+        raise ValueError(f"checkpoint names unknown architecture {header.get('arch')!r}")
+    config = header.get("config")
+    if not isinstance(config, dict):
+        raise ValueError("checkpoint config is not a JSON object")
+    unknown = sorted(set(config) - {f.name for f in fields(LrcnConfig)})
+    if unknown:
+        raise ValueError(f"checkpoint config has unknown keys {unknown}")
+    return header
 
 
 def load_model(path):

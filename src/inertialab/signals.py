@@ -105,46 +105,44 @@ class FeatureSet:
 
 
 def resample(series, src_rate, target_rate):
-    """Downsample a uniform series with a 4-tap anti-alias prefilter.
+    """Downsample uniform series along the last axis with a 4-tap prefilter.
 
     The moving-average prefilter is phase-compensated (its half-sample group
-    delay is accounted for in the interpolation grid) and the series is
+    delay is accounted for in the interpolation grid) and each series is
     extended by linear extrapolation before filtering, so affine signals are
     reproduced exactly.  Output length is ``floor(duration * target_rate)``.
     """
     series = np.asarray(series, dtype=np.float64)
-    if series.ndim != 1 or len(series) < 2:
-        raise ValueError("series must be 1-D with at least 2 samples")
+    if series.ndim == 0 or series.shape[-1] < 2:
+        raise ValueError("series must have at least 2 samples")
     if target_rate > src_rate:
         raise ValueError(
             f"upsampling not supported: {src_rate} Hz -> {target_rate} Hz"
         )
-    n = len(series)
-    first_step = series[1] - series[0]
-    last_step = series[-1] - series[-2]
+    n = series.shape[-1]
+    first, last = series[..., :1], series[..., -1:]
+    first_step = series[..., 1:2] - first
+    last_step = last - series[..., -2:-1]
     padded = np.concatenate(
-        (
-            [series[0] - 2.0 * first_step, series[0] - first_step],
-            series,
-            [series[-1] + last_step],
-        )
+        (first - 2.0 * first_step, first - first_step, series, last + last_step), axis=-1
     )
-    # filtered[j] averages source samples j-2 .. j+1: center at (j - 0.5)/src
-    filt = (padded[:-3] + padded[1:-2] + padded[2:-1] + padded[3:]) / 4.0
-
     out_len = int(math.floor(n * float(target_rate) / float(src_rate) + 1e-12))
     pos = np.arange(out_len) * (float(src_rate) / float(target_rate)) + 0.5
     idx = np.clip(np.floor(pos).astype(np.intp), 0, n - 2)
     frac = pos - idx
-    return filt[idx] * (1.0 - frac) + filt[idx + 1] * frac
+    # filtered[j] averages source samples j-2 .. j+1 (padded[j .. j+3]), centred
+    # at (j - 0.5)/src; only the entries idx and idx + 1 are formed.  take()
+    # returns row-major blocks, which downstream row means rely on to sum alike.
+    taps = [padded.take(idx + k, axis=-1) for k in range(5)]
+    below = (taps[0] + taps[1] + taps[2] + taps[3]) / 4.0
+    above = (taps[1] + taps[2] + taps[3] + taps[4]) / 4.0
+    return below * (1.0 - frac) + above * frac
 
 
 def resample_record(record, target_rate):
     """Apply :func:`resample` to every channel of a record set."""
     chans = {
-        name: np.stack(
-            [resample(row, record.rate, target_rate) for row in record.channel(name)]
-        )
+        name: resample(record.channel(name), record.rate, target_rate)
         for name in PmuRecordSet.CHANNELS
     }
     return replace(record, rate=float(target_rate), **chans)

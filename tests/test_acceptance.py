@@ -306,8 +306,8 @@ def test_criterion_09_feature_selection_oracle(grid):
     )
     config = LrcnConfig(input_len=4000, sequence_stride=8, seed=0)
     scorer = SubsetScorer(builder, config, epochs=20, split_seed=0, train_seed=0)
-    result = wrapper_feature_selection(builder, config, epochs=20, scorer=scorer)
-    everything = exhaustive_subset_scores(builder, config, epochs=20, scorer=scorer)
+    result = wrapper_feature_selection(scorer)
+    everything = exhaustive_subset_scores(scorer)
 
     noise_excluded = Feature.ANGLE not in result.selected
 

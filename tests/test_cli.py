@@ -2,11 +2,13 @@
 
 import json
 import math
+import struct
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from inertialab import experiments
 from inertialab.cli import main
 from inertialab.dynamics import ProbingSignal, SimConfig
 from inertialab.experiments import TrainReport
@@ -44,6 +46,20 @@ TINY_MODEL = [
     "--set", "model.batch_size=4",
     "--set", "model.sequence_stride=16",
 ]
+
+
+def checkpoint_blob(header):
+    """Checkpoint magic and length-prefixed JSON header, nothing after it."""
+    text = json.dumps(header).encode()
+    return b"LRCNMDL1" + struct.pack("<Q", len(text)) + text
+
+
+# headers that must be rejected: not an object, unknown arch, unknown config key
+BAD_CHECKPOINT_HEADERS = (
+    [],
+    {"arch": "rnn", "config": {}},
+    {"arch": "lrcn", "config": {"lstm_unitz": 4}},
+)
 
 
 @pytest.fixture
@@ -180,6 +196,16 @@ class TestTrainEval:
         rc = main(["eval", "--out", str(tmp_path / "x"), "--set", f'case="{tiny_case}"'])
         assert rc == 3
 
+    def test_malformed_checkpoint_header(self, tiny_case, tmp_path, capsys):
+        model = tmp_path / "model.bin"
+        for header in BAD_CHECKPOINT_HEADERS:
+            model.write_bytes(checkpoint_blob(header))
+            rc = main(["eval", "--out", str(tmp_path / "x"), "--model", str(model),
+                       "--set", f'case="{tiny_case}"'])
+            assert rc == 3, header
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, tiny_case, tmp_path, capsys):
         out = tmp_path / "boom"
@@ -209,8 +235,10 @@ class TestInspect:
 
     def test_unknown_file(self, tmp_path, capsys):
         path = tmp_path / "mystery.bin"
-        # unknown magic, then each container cut inside its fixed header
-        for blob in (b"???", b"INRDSET1\0\0", b"LRCNMDL1\0\0", b"PMUREC1\0\0"):
+        # unknown magic, each container cut inside its fixed header, and
+        # checkpoint headers that are well formed JSON but not a checkpoint's
+        blobs = [b"???", b"INRDSET1\0\0", b"LRCNMDL1\0\0", b"PMUREC1\0\0"]
+        for blob in blobs + [checkpoint_blob(h) for h in BAD_CHECKPOINT_HEADERS]:
             path.write_bytes(blob)
             assert main(["inspect", str(path)]) == 3, blob
             err = capsys.readouterr().err
@@ -269,6 +297,27 @@ class TestComparisons:
         report = TrainReport.load(out / "report_window_0.0-1.0.txt")
         assert report.arch == "cnn"
         assert report.lr_trace == (0.0003,)
+
+    def test_select_features_trains_train_arch(self, tiny_case, tmp_path, monkeypatch):
+        calls = []
+        real_train = experiments.train
+
+        def spy(config, train_set, val_set, epochs, seed=0, arch="lrcn"):
+            calls.append((arch, config.learning_rate))
+            return real_train(config, train_set, val_set, epochs, seed, arch)
+
+        monkeypatch.setattr(experiments, "train", spy)
+        out = tmp_path / "sel"
+        assert main([
+            "select-features", *self.common(tiny_case, out),
+            "--set", "train.arch=cnn", "--set", "train.cnn_learning_rate=0.0003",
+        ]) == 0
+        rows = [
+            ln for ln in (out / "selection.csv").read_text().splitlines()
+            if not ln.startswith("#")
+        ]
+        assert len(calls) == len(rows) - 1  # one training run per scored subset
+        assert set(calls) == {("cnn", 0.0003)}
 
     def test_compare_snr(self, tiny_case, tmp_path, capsys):
         out = tmp_path / "snr"
@@ -346,6 +395,7 @@ class TestConfigLayering:
             (None, ["dataset=5"]),
             (None, ["dataset.window=[0.0]"]),
             (None, ['dataset.features=["speeed"]']),
+            (None, ["case=5"]),
         ]
         for config, assignments in cases:
             args = gen_args(tiny_case, tmp_path / "x")

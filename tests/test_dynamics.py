@@ -194,6 +194,23 @@ class TestIntegrate:
         ref = single_machine_response(8.0, 1.0, 0.001, t)
         assert np.abs(rec.speed[0] - ref).max() < 1e-6
 
+    def test_rocof_is_swing_rhs_at_recorded_state(self):
+        """The integrator's RoCoF channel is swing_rhs itself, bit for bit."""
+        net = single_machine_net(m=8.0, d=1.0)
+        probe = ProbingSignal(amplitude=0.001, injection_bus=1, start=0.25, duration=0.5)
+        cfg = SimConfig()
+        rec = integrate(net, probe, cfg)
+        steps_hz = float(cfg.pmu_rate * cfg.steps_per_sample)
+        expected = [
+            swing_rhs(
+                [rec.angle[0, j], rec.speed[0, j]], net,
+                [probe_waveform(probe, j * cfg.steps_per_sample / steps_hz)],
+            )[1]
+            for j in range(rec.n_samples)
+        ]
+        assert np.array_equal(rec.rocof[0], expected)
+        assert rec.rocof[0].any() and not rec.rocof[0, 0]
+
     def test_initial_rocof_scales_inversely_with_inertia(self):
         probe = ProbingSignal(amplitude=0.004, injection_bus=1, duration=2.0)
         cfg = SimConfig(t_end=1.5)

@@ -352,7 +352,7 @@ class TestFeatureSelectionMachinery:
         from inertialab.signals import Feature
 
         result = wrapper_feature_selection(
-            builder, config, epochs=1, candidates=[Feature.ROCOF]
+            SubsetScorer(builder, config, epochs=1), candidates=[Feature.ROCOF]
         )
         assert result.selected.members == (Feature.ROCOF,)
 
@@ -366,9 +366,9 @@ class TestFeatureSelectionMachinery:
                             lstm_units=3, head_sizes=(4, 2), batch_size=4,
                             seed=0, sequence_stride=8)
         scorer = SubsetScorer(builder, config, epochs=2, split_seed=0, train_seed=0)
-        result = wrapper_feature_selection(builder, config, epochs=2, scorer=scorer)
+        result = wrapper_feature_selection(scorer)
         scores = [max(r.values()) for r in result.rounds if r]
         picked = [s for s in scores]
         assert all(b >= a for a, b in zip(picked, picked[1:])) or len(picked) <= 1
-        exhaustive = exhaustive_subset_scores(builder, config, epochs=2, scorer=scorer)
+        exhaustive = exhaustive_subset_scores(scorer)
         assert frozenset(result.selected) in exhaustive

@@ -60,6 +60,13 @@ class TestResample:
         with pytest.raises(ValueError):
             resample(np.zeros(100), 200.0, 2880.0)
 
+    def test_block_matches_row_by_row(self):
+        block = np.random.default_rng(3).normal(size=(2, 3, 4320))
+        rows = [[resample(row, 2880.0, 200.0) for row in plane] for plane in block]
+        out = resample(block, 2880.0, 200.0)
+        assert out.shape == (2, 3, 300)
+        assert np.array_equal(out, rows)
+
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
             resample(np.zeros(1), 200.0, 100.0)
