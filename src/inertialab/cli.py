@@ -47,7 +47,13 @@ from .experiments import (
     wrapper_feature_selection,
 )
 from .grid import load_case, load_default_case
-from .nn.model import MODEL_MAGIC, LrcnConfig, load_model, read_checkpoint_header
+from .nn.model import (
+    MODEL_MAGIC,
+    LrcnConfig,
+    fits_json_kind,
+    load_model,
+    read_checkpoint_header,
+)
 from .signals import DATASET_MAGIC, Dataset
 
 EXIT_IO = 2
@@ -126,20 +132,13 @@ def _fits(default, value, path=False):
     """Whether ``value`` has the JSON kind of ``default``.
 
     A path key takes null or a string, any other null default null or an
-    integer, a float default any number; list items are checked against the
-    default's first item.
+    integer; every other default is checked by ``fits_json_kind``.
     """
-    if isinstance(value, (bool, dict)):
-        return False
     if path:
         return value is None or isinstance(value, str)
     if default is None:
-        return value is None or isinstance(value, int)
-    if isinstance(default, list):
-        return isinstance(value, list) and all(_fits(default[0], v) for v in value)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return type(value) is type(default)
+        return value is None or (isinstance(value, int) and not isinstance(value, bool))
+    return fits_json_kind(default, value)
 
 
 def _override(cfg, defaults, values, prefix=""):

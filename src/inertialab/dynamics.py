@@ -150,8 +150,10 @@ class SimConfig:
 class PmuRecordSet:
     """Per-bus channel series at a common sample rate, plus provenance.
 
-    Channel arrays are float64 of shape [n_buses, n_samples]; ``bus_ids``
-    fixes the row order.
+    Channel arrays are stored as C-ordered float64 of shape
+    [n_buses, n_samples] (C-ordered float64 input is kept, not copied), so
+    row reductions such as ``add_noise``'s power sums see one memory order;
+    ``bus_ids`` fixes the row order.
     """
 
     rate: float
@@ -166,6 +168,8 @@ class PmuRecordSet:
     CHANNELS = ("speed", "rocof", "angle")
 
     def __post_init__(self):
+        for name in self.CHANNELS:
+            setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=np.float64))
         shapes = {self.speed.shape, self.rocof.shape, self.angle.shape}
         if len(shapes) != 1:
             raise ValueError("channel arrays must share one shape")
@@ -335,7 +339,16 @@ def _integrate_amplitudes(net, probe, cfg, amplitudes, monitored):
         theta = theta + (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
         dw = dw + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
 
-    return tuple(ch.transpose(1, 2, 0)[:, keep, :] for ch in (speed, rocof, angle))
+    # [amplitude, bus, sample] in C order, so PmuRecordSet keeps the rows
+    # without a copy; filled bus by bus because take() would first copy the
+    # whole strided source
+    out = []
+    for ch in (speed, rocof, angle):
+        series = np.empty((ch.shape[1], len(keep), ch.shape[0]))
+        for row, machine in enumerate(keep):
+            series[:, row, :] = ch[:, :, machine].T
+        out.append(series)
+    return tuple(out)
 
 
 def integrate(net, probe, cfg, monitored=None, h_sys=float("nan")):

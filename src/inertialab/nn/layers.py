@@ -32,15 +32,6 @@ def check_finite(name, array):
     return array
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def conv1d_forward(x, kernels, bias, padding):
     """Cross-correlate ``x`` [B, L, C_in] with ``kernels`` [C_out, C_in, K].
 
@@ -125,69 +116,104 @@ def lstm_forward(x, w_in, w_rec, bias):
     Gate blocks are packed (input, forget, candidate, output) along the last
     axis of ``w_in`` [D, 4l], ``w_rec`` [l, 4l] and ``bias`` [4l].  Initial
     hidden and cell states are zero.
+
+    One batched product writes ``x_t @ w_in`` for every step into a
+    [T, B, 4l] gate buffer; each step adds ``h @ w_rec`` and then ``bias``
+    to its slice in place and replaces it with the gate values.  Every value
+    comes from the same floating-point operations, in the same order, as a
+    plain step-by-step loop, so results do not depend on this layout.  The
+    cache holds the gate buffer and the cell and hidden states of every step
+    (row 0 is the zero initial state).
     """
     x = check_finite("lstm", np.asarray(x, dtype=np.float64))
     if x.ndim != 3:
         raise ValueError(f"expected input [B, T, D], got {x.shape}")
     b, t_steps, _ = x.shape
     units = w_rec.shape[0]
-    h = np.zeros((b, units))
-    c = np.zeros((b, units))
-    gates_i = np.empty((t_steps, b, units))
-    gates_f = np.empty((t_steps, b, units))
-    gates_g = np.empty((t_steps, b, units))
-    gates_o = np.empty((t_steps, b, units))
-    cells = np.empty((t_steps, b, units))
-    hiddens = np.empty((t_steps, b, units))
+    bias_rows = np.tile(bias, (b, 1))
+    gates = np.empty((t_steps, b, 4 * units))
+    np.matmul(x.transpose(1, 0, 2), w_in, out=gates)
+    cells = np.zeros((t_steps + 1, b, units))
+    hiddens = np.zeros((t_steps + 1, b, units))
+    rec = np.empty((b, 4 * units))
+    neg_z, num, den, slots = np.empty((4, 4, b, units))
+    nonneg = np.empty((4, b, units), dtype=bool)
+    ig = np.empty((b, units))
+    gi, gf, gg, go = slots  # the step's gates, one contiguous block each
     for t in range(t_steps):
-        z = x[:, t, :] @ w_in + h @ w_rec + bias
-        gi = _sigmoid(z[:, :units])
-        gf = _sigmoid(z[:, units : 2 * units])
-        gg = np.tanh(z[:, 2 * units : 3 * units])
-        go = _sigmoid(z[:, 3 * units :])
-        c = gf * c + gi * gg
-        h = go * np.tanh(c)
-        gates_i[t], gates_f[t], gates_g[t], gates_o[t] = gi, gf, gg, go
-        cells[t], hiddens[t] = c, h
-    cache = (x, w_in, w_rec, gates_i, gates_f, gates_g, gates_o, cells, hiddens)
-    return h, cache
+        z = gates[t]
+        np.matmul(hiddens[t], w_rec, out=rec)
+        z += rec
+        z += bias_rows
+        z_slots = z.reshape(b, 4, units).transpose(1, 0, 2)
+        # sigmoid of all four slots without overflow: 1 / (1 + e^-z) for
+        # z >= 0, e^z / (1 + e^z) below; then tanh replaces the g slot
+        np.negative(z_slots, out=neg_z)
+        np.minimum(neg_z, z_slots, out=num)
+        np.exp(num, out=num)
+        np.add(num, 1.0, out=den)
+        np.less_equal(neg_z, 0.0, out=nonneg)
+        np.copyto(num, 1.0, where=nonneg)
+        np.divide(num, den, out=slots)
+        np.tanh(z_slots[2], out=gg)
+        np.copyto(z_slots, slots)
+        c = cells[t + 1]
+        np.multiply(gf, cells[t], out=c)
+        np.multiply(gi, gg, out=ig)
+        c += ig
+        h = hiddens[t + 1]
+        np.tanh(c, out=h)
+        h *= go
+    return hiddens[t_steps], (x, w_in, w_rec, gates, cells, hiddens)
 
 
 def lstm_backward(cache, grad_h):
-    """Backpropagate through time from the final-hidden-state gradient."""
-    x, w_in, w_rec, gi, gf, gg, go, cells, hiddens = cache
-    b, t_steps, _ = x.shape
-    units = w_rec.shape[0]
+    """Backpropagate through time from the final-hidden-state gradient.
+
+    Each step writes its gate gradient ``d_z`` over its gate values, which
+    are dead by then, so the cache is consumed: it cannot be backpropagated
+    twice.  The arithmetic, including the order in which the weight
+    gradients accumulate, is that of a plain step-by-step loop.
+    """
+    x, w_in, w_rec, gates, cells, hiddens = cache
+    t_steps, b, four_units = gates.shape
+    units = four_units // 4
     d_x = np.empty_like(x)
     d_w_in = np.zeros_like(w_in)
     d_w_rec = np.zeros_like(w_rec)
-    d_bias = np.zeros(4 * units)
+    d_bias = np.zeros(four_units)
     d_h = np.asarray(grad_h, dtype=np.float64).copy()
     d_c = np.zeros((b, units))
+    tanh_c, tmp, tmp2 = np.empty((3, b, units))
+    slots, d_gate, slope = np.empty((3, 4, b, units))
+    gi, gf, gg, go = slots
     for t in range(t_steps - 1, -1, -1):
-        tanh_c = np.tanh(cells[t])
-        d_o = d_h * tanh_c
-        d_c = d_c + d_h * go[t] * (1.0 - tanh_c**2)
-        c_prev = cells[t - 1] if t > 0 else np.zeros((b, units))
-        d_i = d_c * gg[t]
-        d_g = d_c * gi[t]
-        d_f = d_c * c_prev
-        d_z = np.concatenate(
-            [
-                d_i * gi[t] * (1.0 - gi[t]),
-                d_f * gf[t] * (1.0 - gf[t]),
-                d_g * (1.0 - gg[t] ** 2),
-                d_o * go[t] * (1.0 - go[t]),
-            ],
-            axis=1,
-        )
-        h_prev = hiddens[t - 1] if t > 0 else np.zeros((b, units))
+        d_z = gates[t]
+        d_z_slots = d_z.reshape(b, 4, units).transpose(1, 0, 2)
+        np.copyto(slots, d_z_slots)
+        np.tanh(cells[t + 1], out=tanh_c)
+        np.multiply(d_h, go, out=tmp)
+        np.multiply(tanh_c, tanh_c, out=tmp2)
+        np.subtract(1.0, tmp2, out=tmp2)
+        tmp *= tmp2
+        d_c += tmp
+        # gradients of the gate values: c = f*c_prev + i*g, h = o*tanh(c)
+        np.multiply(d_c, gg, out=d_gate[0])
+        np.multiply(d_c, cells[t], out=d_gate[1])
+        np.multiply(d_c, gi, out=d_gate[2])
+        np.multiply(d_h, tanh_c, out=d_gate[3])
+        # times the slopes a * (1 - a) of the sigmoids and 1 - g^2 of tanh
+        d_gate[:2] *= slots[:2]
+        d_gate[3] *= go
+        gg *= gg
+        np.subtract(1.0, slots, out=slope)
+        np.multiply(d_gate, slope, out=d_z_slots)
         d_w_in += x[:, t, :].T @ d_z
-        d_w_rec += h_prev.T @ d_z
+        d_w_rec += hiddens[t].T @ d_z
         d_bias += d_z.sum(axis=0)
-        d_x[:, t, :] = d_z @ w_in.T
-        d_h = d_z @ w_rec.T
-        d_c = d_c * gf[t]
+        np.matmul(d_z, w_in.T, out=d_x[:, t, :])
+        np.matmul(d_z, w_rec.T, out=d_h)
+        d_c *= gf
     return d_x, d_w_in, d_w_rec, d_bias
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import layers
 
 __all__ = ["LrcnConfig", "LrcnModel", "CnnModel", "make_model", "load_model",
-           "read_checkpoint_header"]
+           "read_checkpoint_header", "fits_json_kind"]
 
 MODEL_MAGIC = b"LRCNMDL1"
 # An open forget gate at init lets the final state reflect the whole
@@ -328,11 +328,28 @@ def make_model(arch, config):
     return cls.initialize(config)
 
 
+def fits_json_kind(default, value):
+    """Whether the JSON ``value`` has the kind of the config ``default``.
+
+    A float default takes any number, a list or tuple default a list whose
+    items fit its first item, any other default a value of its own type; a
+    boolean fits nothing.
+    """
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, (list, tuple)):
+        return isinstance(value, list) and all(fits_json_kind(default[0], v) for v in value)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return type(value) is type(default)
+
+
 def read_checkpoint_header(fh):
     """Magic and JSON header (architecture, config) of a checkpoint stream.
 
     Rejects a header that is not a JSON object, names an unknown
-    architecture or holds a config key ``LrcnConfig`` does not have.
+    architecture, or holds a config key ``LrcnConfig`` does not have or a
+    value of another JSON kind than that key's default.
     """
     magic = fh.read(len(MODEL_MAGIC))
     if magic != MODEL_MAGIC:
@@ -352,9 +369,13 @@ def read_checkpoint_header(fh):
     config = header.get("config")
     if not isinstance(config, dict):
         raise ValueError("checkpoint config is not a JSON object")
-    unknown = sorted(set(config) - {f.name for f in fields(LrcnConfig)})
+    defaults = {f.name: f.default for f in fields(LrcnConfig)}
+    unknown = sorted(set(config) - set(defaults))
     if unknown:
         raise ValueError(f"checkpoint config has unknown keys {unknown}")
+    mistyped = sorted(k for k, v in config.items() if not fits_json_kind(defaults[k], v))
+    if mistyped:
+        raise ValueError(f"checkpoint config has values of the wrong type for {mistyped}")
     return header
 
 

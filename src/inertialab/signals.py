@@ -400,9 +400,20 @@ class Dataset:
 
 
 def _read_header(blob):
-    """Fixed INRDSET1 header fields, after checking the magic and length."""
+    """Fixed INRDSET1 header fields, after checking the magic and the size.
+
+    The blob must hold exactly the header, the channel extrema and the
+    declared samples (label and float32 row each): nothing less, nothing
+    trailing.
+    """
     if blob[: len(DATASET_MAGIC)] != DATASET_MAGIC:
         raise ValueError("not a dataset file: bad magic")
     if len(blob) < len(DATASET_MAGIC) + _DATASET_HEADER.size:
         raise ValueError("dataset header truncated")
-    return _DATASET_HEADER.unpack_from(blob, len(DATASET_MAGIC))
+    fields = _DATASET_HEADER.unpack_from(blob, len(DATASET_MAGIC))
+    n, length, n_chan = fields[0], fields[1], fields[7]
+    size = len(DATASET_MAGIC) + _DATASET_HEADER.size + 16 * n_chan + n * (8 + 4 * length)
+    if len(blob) != size:
+        raise ValueError(f"dataset size mismatch: header declares {size} bytes, "
+                         f"file has {len(blob)}")
+    return fields

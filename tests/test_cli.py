@@ -13,7 +13,7 @@ from inertialab.cli import main
 from inertialab.dynamics import ProbingSignal, SimConfig
 from inertialab.experiments import TrainReport
 from inertialab.nn.model import LrcnConfig
-from inertialab.signals import Dataset
+from inertialab.signals import Dataset, FeatureSet, NormalizationStats
 
 OMEGA = 2.0 * math.pi * 60.0
 
@@ -54,12 +54,28 @@ def checkpoint_blob(header):
     return b"LRCNMDL1" + struct.pack("<Q", len(text)) + text
 
 
-# headers that must be rejected: not an object, unknown arch, unknown config key
+# headers that must be rejected: not an object, unknown arch, unknown config
+# key, config values of the wrong JSON kind
 BAD_CHECKPOINT_HEADERS = (
     [],
     {"arch": "rnn", "config": {}},
     {"arch": "lrcn", "config": {"lstm_unitz": 4}},
+    {"arch": "lrcn", "config": {"head_sizes": 5}},
+    {"arch": "lrcn", "config": {"learning_rate": "x"}},
 )
+
+
+def dataset_blob():
+    """A valid two-sample INRDSET1 container."""
+    return Dataset(
+        tensors=np.zeros((2, 4)),
+        labels=np.array([3.0, 4.0]),
+        features=FeatureSet(["speed"]),
+        window=(0.0, 1.0),
+        snr_db=60.0,
+        n_buses=1,
+        stats=NormalizationStats(minima=np.zeros(1), maxima=np.ones(1)),
+    ).to_bytes()
 
 
 @pytest.fixture
@@ -235,9 +251,12 @@ class TestInspect:
 
     def test_unknown_file(self, tmp_path, capsys):
         path = tmp_path / "mystery.bin"
-        # unknown magic, each container cut inside its fixed header, and
-        # checkpoint headers that are well formed JSON but not a checkpoint's
-        blobs = [b"???", b"INRDSET1\0\0", b"LRCNMDL1\0\0", b"PMUREC1\0\0"]
+        # unknown magic, each container cut inside its fixed header, a
+        # dataset 7 bytes short of its declared size or with 2 trailing
+        # bytes, and checkpoint headers that are well formed JSON but not a
+        # checkpoint's
+        blobs = [b"???", b"INRDSET1\0\0", b"LRCNMDL1\0\0", b"PMUREC1\0\0",
+                 dataset_blob()[:-7], dataset_blob() + b"\0\0"]
         for blob in blobs + [checkpoint_blob(h) for h in BAD_CHECKPOINT_HEADERS]:
             path.write_bytes(blob)
             assert main(["inspect", str(path)]) == 3, blob

@@ -98,8 +98,8 @@ class TestLstm:
         x = np.ones((1, 1, 1))
         w_in = np.array([[0.1, 0.2, 0.3, 0.4]])
         h, cache = layers.lstm_forward(x, w_in, np.zeros((1, 4)), np.zeros(4))
-        cells = cache[7]
-        assert cells[0, 0, 0] == pytest.approx(0.15293305858720352, rel=1e-14)
+        cells = cache[4]  # row 0 holds the zero initial state
+        assert cells[1, 0, 0] == pytest.approx(0.15293305858720352, rel=1e-14)
         assert h[0, 0] == pytest.approx(0.09085193946699145, rel=1e-14)
 
     def test_final_state_matches_manual_recurrence(self):
@@ -121,6 +121,81 @@ class TestLstm:
             cc = sigmoid(f) * cc + sigmoid(i) * np.tanh(g)
             hh = sigmoid(o) * np.tanh(cc)
         np.testing.assert_allclose(h[0], hh, rtol=1e-12)
+
+    @staticmethod
+    def reference_lstm(x, w_in, w_rec, bias, grad_h, sigmoid):
+        """Plain per-step LSTM and its backward pass.
+
+        Each value is formed with the operations, in the order, that the
+        fused kernel uses.  Returns the final hidden state and (d_x, d_w_in,
+        d_w_rec, d_bias).
+        """
+        b, t_steps, _ = x.shape
+        units = w_rec.shape[0]
+        hs, cs, acts = [np.zeros((b, units))], [np.zeros((b, units))], []
+        for t in range(t_steps):
+            z = x[:, t, :] @ w_in + hs[-1] @ w_rec + bias
+            i, f, g, o = np.split(z, 4, axis=1)
+            i, f, g, o = sigmoid(i), sigmoid(f), np.tanh(g), sigmoid(o)
+            cs.append(f * cs[-1] + i * g)
+            hs.append(o * np.tanh(cs[-1]))
+            acts.append((i, f, g, o))
+        d_x = np.zeros_like(x)
+        d_w_in, d_w_rec = np.zeros_like(w_in), np.zeros_like(w_rec)
+        d_bias = np.zeros_like(bias)
+        d_h, d_c = grad_h.copy(), np.zeros((b, units))
+        for t in reversed(range(t_steps)):
+            i, f, g, o = acts[t]
+            tanh_c = np.tanh(cs[t + 1])
+            d_c = d_c + d_h * o * (1.0 - tanh_c**2)
+            d_z = np.concatenate([
+                d_c * g * i * (1.0 - i),
+                d_c * cs[t] * f * (1.0 - f),
+                d_c * i * (1.0 - g**2),
+                d_h * tanh_c * o * (1.0 - o),
+            ], axis=1)
+            d_x[:, t, :] = d_z @ w_in.T
+            d_w_in += x[:, t, :].T @ d_z
+            d_w_rec += hs[t].T @ d_z
+            d_bias += d_z.sum(axis=0)
+            d_h = d_z @ w_rec.T
+            d_c = d_c * f
+        return hs[-1], (d_x, d_w_in, d_w_rec, d_bias)
+
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    def test_fused_kernel_matches_reference(self, layout):
+        rng = np.random.default_rng(5)
+        units = 6
+        if layout == "contiguous":
+            x = rng.normal(size=(5, 64, 3))
+        else:
+            x = rng.normal(size=(5, 192, 3))[:, ::3, :]
+        w_in = rng.uniform(-0.6, 0.6, size=(3, 4 * units))
+        w_rec = rng.uniform(-0.6, 0.6, size=(units, 4 * units))
+        bias = rng.normal(scale=0.3, size=4 * units)
+        grad_h = rng.normal(size=(5, units))
+        h, cache = layers.lstm_forward(x, w_in, w_rec, bias)
+        got = (h, *layers.lstm_backward(cache, grad_h))
+        names = ("h", "d_x", "d_w_in", "d_w_rec", "d_bias")
+
+        def plain(z):
+            return 1.0 / (1.0 + np.exp(-z))
+
+        ref_h, ref_grads = self.reference_lstm(x, w_in, w_rec, bias, grad_h, plain)
+        for name, a, want in zip(names, got, (ref_h, *ref_grads)):
+            assert a.shape == want.shape, name
+            rel = np.max(np.abs(a - want)) / np.max(np.abs(want))
+            assert rel < 1e-12, (name, rel)
+
+        # with the kernel's overflow-free sigmoid the loop gives the same bits,
+        # which keeps recorded training curves reproducible
+        def split(z):
+            e = np.exp(-np.abs(z))
+            return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+        ref_h, ref_grads = self.reference_lstm(x, w_in, w_rec, bias, grad_h, split)
+        for name, a, want in zip(names, got, (ref_h, *ref_grads)):
+            np.testing.assert_array_equal(a, want, err_msg=name)
 
 
 class TestMse:

@@ -127,6 +127,21 @@ class TestAddNoise:
         for name in PmuRecordSet.CHANNELS:
             np.testing.assert_array_equal(a.channel(name), b.channel(name))
 
+    def test_memory_order_does_not_change_noise(self):
+        rec = make_record(n_buses=4, n_samples=1000)
+        fortran = PmuRecordSet(
+            rate=rec.rate,
+            bus_ids=rec.bus_ids,
+            speed=np.asfortranarray(rec.speed),
+            rocof=np.asfortranarray(rec.rocof),
+            angle=np.asfortranarray(rec.angle),
+            h_sys=rec.h_sys,
+        )
+        a = add_noise(rec, 45.0, seed=9)
+        b = add_noise(fortran, 45.0, seed=9)
+        for name in PmuRecordSet.CHANNELS:
+            assert a.channel(name).tobytes() == b.channel(name).tobytes(), name
+
     def test_all_zero_channel_skipped_with_warning(self):
         rec = make_record(n_buses=1)
         rec = PmuRecordSet(
