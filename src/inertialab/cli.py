@@ -52,7 +52,7 @@ from .nn.model import (
     LrcnConfig,
     fits_json_kind,
     load_model,
-    read_checkpoint_header,
+    read_checkpoint,
 )
 from .signals import DATASET_MAGIC, Dataset
 
@@ -448,9 +448,9 @@ def cmd_inspect(path):
     if blob.startswith(DATASET_MAGIC):
         info = {"kind": "dataset", **Dataset.header_from_bytes(blob)}
     elif blob.startswith(MODEL_MAGIC):
-        info = {"kind": "model", **read_checkpoint_header(io.BytesIO(blob))}
+        info = {"kind": "model", **read_checkpoint(io.BytesIO(blob))[0]}
     elif blob.startswith(PMU_RECORD_MAGIC):
-        info = {"kind": "pmu-record", **PmuRecordSet.read_header(io.BytesIO(blob))}
+        info = {"kind": "pmu-record", **PmuRecordSet.header_from_bytes(blob)}
     else:
         raise ValueError(f"unrecognized file magic in {path}")
     print(json.dumps(info, sort_keys=True))

@@ -19,6 +19,13 @@ The per-machine dynamics are, in per unit on the system base,
 with u_i the probing injection.  The flat operating point with zero
 injections is an exact equilibrium, so everything before the probe (and the
 whole trajectory when the probe amplitude is zero) is identically zero.
+
+One integrator steps any number of rows in lockstep, each with its own
+swing coefficients m and probe amplitude, and writes the samples straight
+into caller-provided [row, bus, sample] buffers.  :func:`integrate` runs it
+on a single row; the corpus builder runs it over blocks of whole inertia
+groups and reuses the buffers from block to block, so a record built on
+them is a view that is only valid until the next block.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,6 +51,7 @@ __all__ = [
 PMU_RECORD_MAGIC = b"PMUREC1"
 _RECORD_HEADER = struct.Struct("<dIQddq")
 _RECORD_FIELDS = ("rate", "n_buses", "n_samples", "h_sys", "probe_amplitude", "seed")
+_RECORD_OFFSET = len(PMU_RECORD_MAGIC) + _RECORD_HEADER.size
 
 
 class InstabilityError(RuntimeError):
@@ -205,32 +213,45 @@ class PmuRecordSet:
             for name in self.CHANNELS:
                 fh.write(np.ascontiguousarray(self.channel(name), dtype="<f4").tobytes())
 
-    @staticmethod
-    def read_header(fh):
-        """Magic and fixed header of a record container, read from a binary stream."""
-        magic = fh.read(len(PMU_RECORD_MAGIC))
+    @classmethod
+    def header_from_bytes(cls, blob):
+        """Fixed header fields of a record container, after checking its size.
+
+        The blob must hold exactly the magic, the header, the bus ids and the
+        three float32 channels it declares: nothing less, nothing trailing.
+        """
+        magic = blob[: len(PMU_RECORD_MAGIC)]
         if magic != PMU_RECORD_MAGIC:
             raise ValueError(f"not a PMU record file: bad magic {magic!r}")
-        raw = fh.read(_RECORD_HEADER.size)
-        if len(raw) < _RECORD_HEADER.size:
+        if len(blob) < _RECORD_OFFSET:
             raise ValueError("PMU record header truncated")
-        return dict(zip(_RECORD_FIELDS, _RECORD_HEADER.unpack(raw)))
+        header = dict(
+            zip(_RECORD_FIELDS, _RECORD_HEADER.unpack_from(blob, len(PMU_RECORD_MAGIC)))
+        )
+        n_values = header["n_buses"] * (1 + len(cls.CHANNELS) * header["n_samples"])
+        size = _RECORD_OFFSET + 4 * n_values
+        if len(blob) != size:
+            raise ValueError(f"PMU record size mismatch: header declares {size} bytes, "
+                             f"file has {len(blob)}")
+        return header
 
     @classmethod
     def load(cls, path):
         with open(path, "rb") as fh:
-            header = cls.read_header(fh)
-            n_buses, n_samples = header.pop("n_buses"), header.pop("n_samples")
-            bus_ids = tuple(np.frombuffer(fh.read(4 * n_buses), dtype="<u4").tolist())
-            chans = {}
-            for name in cls.CHANNELS:
-                raw = fh.read(4 * n_buses * n_samples)
-                chans[name] = (
-                    np.frombuffer(raw, dtype="<f4")
-                    .reshape(n_buses, n_samples)
-                    .astype(np.float64)
-                )
-        return cls(bus_ids=bus_ids, **header, **chans)
+            blob = fh.read()
+        header = cls.header_from_bytes(blob)
+        n_buses, n_samples = header.pop("n_buses"), header.pop("n_samples")
+        bus_ids = np.frombuffer(blob, dtype="<u4", count=n_buses, offset=_RECORD_OFFSET)
+        off = _RECORD_OFFSET + 4 * n_buses
+        chans = {}
+        for name in cls.CHANNELS:
+            chans[name] = (
+                np.frombuffer(blob, dtype="<f4", count=n_buses * n_samples, offset=off)
+                .reshape(n_buses, n_samples)
+                .astype(np.float64)
+            )
+            off += 4 * n_buses * n_samples
+        return cls(bus_ids=tuple(bus_ids.tolist()), **header, **chans)
 
 
 def _swing_derivative(net, theta, dw, injection=None):
@@ -287,32 +308,35 @@ def _injection_row(net, probe):
     return row
 
 
-def _integrate_amplitudes(net, probe, cfg, amplitudes, monitored):
-    """Integrate one probe shape at several amplitudes in lockstep.
+def _integrate_rows(net, probe, cfg, inertia, amplitudes, monitored, out):
+    """Integrate one probe shape over many rows in lockstep, into ``out``.
 
-    All trajectories share timing, topology and the PRBS chip sequence; they
-    differ only in the injected amplitude, so they can ride through the RK4
-    loop together.  Returns one [n_traj, n_bus, n_samples] array per channel.
+    Row r is the network ``net`` with swing coefficients ``inertia[r]`` (an
+    array of shape [rows, n]) probed at ``amplitudes[r]``.  Rows share
+    timing, coupling, damping, injections and the PRBS chip sequence, so
+    they ride through the RK4 loop together.  ``out`` holds the speed, RoCoF
+    and angle buffers, each C-ordered float64 of shape
+    [rows, len(monitored), n_samples]; they are overwritten sample by
+    sample.  A row whose speed deviation exceeds 1 p.u. raises
+    :class:`InstabilityError` at the first sample instant where any row
+    does so, naming the row with the largest deviation at that instant.
     """
     amplitudes = np.asarray(amplitudes, dtype=np.float64)
-    k = len(amplitudes)
-    n = net.n
     keep = np.array([net.machine_index(b) for b in monitored], dtype=np.intp)
+    speed, rocof, angle = out
 
-    inj = amplitudes[:, None] * _injection_row(net, probe)[None, :]  # [k, n]
-    m = net.inertia
-    m_total = m.sum()
+    inj = amplitudes[:, None] * _injection_row(net, probe)[None, :]  # [rows, n]
+    m_total = inertia.sum(axis=1)
+    # only the inertia differs between rows; _swing_derivative divides by it
+    net = replace(net, inertia=inertia)
 
     n_samples = cfg.n_samples
     sps = cfg.steps_per_sample
     steps_hz = float(cfg.pmu_rate * sps)
     total_steps = (n_samples - 1) * sps
 
-    theta = np.zeros((k, n))
-    dw = np.zeros((k, n))
-    speed = np.empty((n_samples, k, n))
-    rocof = np.empty((n_samples, k, n))
-    angle = np.empty((n_samples, k, n))
+    theta = np.zeros(inj.shape)
+    dw = np.zeros(inj.shape)
 
     def rhs(t, th, w):
         u = _base_waveform(probe, t)
@@ -324,12 +348,12 @@ def _integrate_amplitudes(net, probe, cfg, amplitudes, monitored):
         k1t, k1w = rhs(t, theta, dw)
         if step % sps == 0:
             j = step // sps
-            per_traj_peak = np.abs(dw).max(axis=1)
-            if per_traj_peak.max() > 1.0:
-                raise InstabilityError(t, int(np.argmax(per_traj_peak)))
-            speed[j] = dw
-            rocof[j] = k1w
-            angle[j] = theta - ((theta * m).sum(axis=1) / m_total)[:, None]
+            if np.abs(dw).max() > 1.0:
+                raise InstabilityError(t, int(np.argmax(np.abs(dw).max(axis=1))))
+            speed[:, :, j] = dw[:, keep]
+            rocof[:, :, j] = k1w[:, keep]
+            coi = (theta * inertia).sum(axis=1) / m_total  # center-of-inertia angle
+            angle[:, :, j] = theta[:, keep] - coi[:, None]
         if step == total_steps:
             break
         half = 0.5 * h
@@ -338,17 +362,6 @@ def _integrate_amplitudes(net, probe, cfg, amplitudes, monitored):
         k4t, k4w = rhs(t + h, theta + h * k3t, dw + h * k3w)
         theta = theta + (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
         dw = dw + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-
-    # [amplitude, bus, sample] in C order, so PmuRecordSet keeps the rows
-    # without a copy; filled bus by bus because take() would first copy the
-    # whole strided source
-    out = []
-    for ch in (speed, rocof, angle):
-        series = np.empty((ch.shape[1], len(keep), ch.shape[0]))
-        for row, machine in enumerate(keep):
-            series[:, row, :] = ch[:, :, machine].T
-        out.append(series)
-    return tuple(out)
 
 
 def integrate(net, probe, cfg, monitored=None, h_sys=float("nan")):
@@ -359,8 +372,11 @@ def integrate(net, probe, cfg, monitored=None, h_sys=float("nan")):
     carried as label metadata.
     """
     monitored = net.buses if monitored is None else monitored
-    speed, rocof, angle = _integrate_amplitudes(
-        net, probe, cfg, [probe.amplitude], monitored
+    speed, rocof, angle = out = [
+        np.empty((1, len(monitored), cfg.n_samples)) for _ in PmuRecordSet.CHANNELS
+    ]
+    _integrate_rows(
+        net, probe, cfg, net.inertia[None, :], [probe.amplitude], monitored, out
     )
     return PmuRecordSet(
         rate=float(cfg.pmu_rate),

@@ -18,7 +18,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .dynamics import (
     PmuRecordSet,
     ProbingSignal,
     SimConfig,
-    _integrate_amplitudes,
+    _integrate_rows,
 )
 from .grid import build_reduced_network, scale_to_target_inertia
 from .nn import layers
@@ -163,6 +163,23 @@ def _cell_seed(base_seed, h_index, amp_index):
     return int(ss.generate_state(1, np.uint32)[0])
 
 
+# Bytes of full-rate float64 sample buffers one simulation block may hold.
+_BLOCK_BYTES = 64 << 20
+
+
+def _check_only_inertia_differs(nets):
+    """Raise unless the reduced networks agree in everything but inertia."""
+    for net in nets[1:]:
+        for f in fields(net):
+            if f.name != "inertia" and not np.array_equal(
+                getattr(net, f.name), getattr(nets[0], f.name)
+            ):
+                raise ValueError(
+                    f"reduced networks differ in {f.name} across H values; "
+                    "only inertia may vary"
+                )
+
+
 class DatasetBuilder:
     """Caches the expensive simulation stage behind dataset variations.
 
@@ -172,6 +189,15 @@ class DatasetBuilder:
     controlled, with every arm consuming identical (H, amplitude, seed)
     triples.  ``transform`` is applied to each clean resampled record and
     exists to build control corpora (e.g. replacing a channel with noise).
+
+    Inertia scaling changes only the swing coefficients of the reduced
+    network, so all cells share one RK4 loop per block of whole H groups,
+    with the inertia carried per row.  A block holds as many H groups as
+    fit their three full-rate float64 channel buffers into ``_BLOCK_BYTES``
+    and always at least one.  The buffers are allocated once and reused
+    for every block: each row is wrapped as a :class:`PmuRecordSet` view,
+    resampled (and transformed) before the next block overwrites it, so no
+    full-rate record outlives its block.
     """
 
     def __init__(self, grid, spec, transform=None):
@@ -185,32 +211,53 @@ class DatasetBuilder:
         self._noisy = {}
 
     def clean_records(self):
+        """Resampled (and transformed) clean records in (H, amplitude) order.
+
+        See the class docstring for the block rule.  An unstable trajectory
+        raises :class:`GenerationError` with its cell indices; a block
+        reports the row that first exceeds 1 p.u., at the earliest sample
+        instant across the whole block, so with several unstable H values
+        in one block it need not name the first of them in H order.
+        """
         if self._clean is not None:
             return self._clean
         spec = self.spec
+        monitored = tuple(self.grid.monitored_buses)
+        nets = [
+            build_reduced_network(scale_to_target_inertia(self.grid, h_target))
+            for h_target in spec.h_values
+        ]
+        _check_only_inertia_differs(nets)
+        n_amp = len(spec.amplitudes)
+        group_bytes = 3 * 8 * n_amp * len(monitored) * spec.sim.n_samples
+        per_block = max(1, min(len(nets), _BLOCK_BYTES // max(group_bytes, 1)))
+        buffers = [
+            np.empty((per_block * n_amp, len(monitored), spec.sim.n_samples))
+            for _ in PmuRecordSet.CHANNELS
+        ]
         records = []
-        for hi, h_target in enumerate(spec.h_values):
-            scaled = scale_to_target_inertia(self.grid, h_target)
-            net = build_reduced_network(scaled)
+        for first in range(0, len(nets), per_block):
+            block = nets[first : first + per_block]
+            rows = len(block) * n_amp
+            out = [buf[:rows] for buf in buffers]
+            inertia = np.repeat([net.inertia for net in block], n_amp, axis=0)
             try:
-                speed, rocof, angle = _integrate_amplitudes(
-                    net,
-                    spec.probe,
-                    spec.sim,
-                    spec.amplitudes,
-                    monitored=self.grid.monitored_buses,
-                )
+                _integrate_rows(block[0], spec.probe, spec.sim, inertia,
+                                spec.amplitudes * len(block), monitored, out)
             except InstabilityError as exc:
-                raise GenerationError(hi, exc.trajectory, exc) from exc
-            for ai, amp in enumerate(spec.amplitudes):
+                offset, ai = divmod(exc.trajectory, n_amp)
+                raise GenerationError(first + offset, ai, exc) from exc
+            speed, rocof, angle = out
+            for row in range(rows):
+                hi, ai = first + row // n_amp, row % n_amp
                 rec = PmuRecordSet(
                     rate=float(spec.sim.pmu_rate),
-                    bus_ids=tuple(self.grid.monitored_buses),
-                    speed=speed[ai],
-                    rocof=rocof[ai],
-                    angle=angle[ai],
-                    h_sys=h_target,
-                    probe_amplitude=amp,
+                    bus_ids=monitored,
+                    speed=speed[row],
+                    rocof=rocof[row],
+                    angle=angle[row],
+                    h_sys=spec.h_values[hi],
+                    probe_amplitude=spec.amplitudes[ai],
                     seed=_cell_seed(spec.base_seed, hi, ai),
                 )
                 rec = resample_record(rec, spec.target_rate)

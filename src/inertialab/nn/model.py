@@ -15,7 +15,9 @@ and a structural diagnostic of the LRCN.
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, fields
 
@@ -24,7 +26,7 @@ import numpy as np
 from . import layers
 
 __all__ = ["LrcnConfig", "LrcnModel", "CnnModel", "make_model", "load_model",
-           "read_checkpoint_header", "fits_json_kind"]
+           "read_checkpoint", "read_checkpoint_header", "fits_json_kind"]
 
 MODEL_MAGIC = b"LRCNMDL1"
 # An open forget gate at init lets the final state reflect the whole
@@ -282,8 +284,12 @@ class LrcnModel(_RegressionNet):
         grads["lstm_w_in"] = d_w_in
         grads["lstm_w_rec"] = d_w_rec
         grads["lstm_b"] = d_b
-        d_seq = np.zeros(seq_shape)
-        d_seq[:, ::stride, :] = d_sub
+        # at stride 1 the LSTM saw the whole conv sequence, so d_sub already
+        # has seq_shape and its C layout
+        d_seq = d_sub
+        if stride > 1:
+            d_seq = np.zeros(seq_shape)
+            d_seq[:, ::stride, :] = d_sub
         grads.update(self._conv_stack_backward(conv_cache, d_seq))
         return grads
 
@@ -344,6 +350,19 @@ def fits_json_kind(default, value):
     return type(value) is type(default)
 
 
+def _read_exact(fh, n, what):
+    """The next ``n`` bytes of the seekable stream ``fh``.
+
+    A declared size larger than what the stream still holds is rejected
+    before anything is read.
+    """
+    here = fh.tell()
+    if n > fh.seek(0, io.SEEK_END) - here:
+        raise ValueError(f"checkpoint truncated in its {what}")
+    fh.seek(here)
+    return fh.read(n)
+
+
 def read_checkpoint_header(fh):
     """Magic and JSON header (architecture, config) of a checkpoint stream.
 
@@ -354,14 +373,8 @@ def read_checkpoint_header(fh):
     magic = fh.read(len(MODEL_MAGIC))
     if magic != MODEL_MAGIC:
         raise ValueError(f"not a model checkpoint: bad magic {magic!r}")
-    raw = fh.read(8)
-    if len(raw) < 8:
-        raise ValueError("checkpoint header truncated")
-    (header_len,) = struct.unpack("<Q", raw)
-    text = fh.read(header_len)
-    if len(text) < header_len:
-        raise ValueError("checkpoint header truncated")
-    header = json.loads(text.decode())
+    (header_len,) = struct.unpack("<Q", _read_exact(fh, 8, "header"))
+    header = json.loads(_read_exact(fh, header_len, "header").decode())
     if not isinstance(header, dict):
         raise ValueError("checkpoint header is not a JSON object")
     if header.get("arch") not in tuple(_ARCHS):  # a tuple: no hashing of odd values
@@ -379,22 +392,33 @@ def read_checkpoint_header(fh):
     return header
 
 
+def read_checkpoint(fh):
+    """Header, parameters and (epoch, lr, best_val_mse) of a checkpoint stream.
+
+    Every declared size is checked against the bytes present: a stream that
+    ends early, or holds anything after the training state, is rejected.
+    """
+    header = read_checkpoint_header(fh)
+    (n_params,) = struct.unpack("<I", _read_exact(fh, 4, "parameter count"))
+    params = {}
+    for _ in range(n_params):
+        (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "parameter table"))
+        name = _read_exact(fh, name_len, "parameter table").decode()
+        (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "parameter table"))
+        shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, "parameter table"))
+        raw = _read_exact(fh, 8 * math.prod(shape), f"parameter {name!r}")
+        params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    trailer = struct.Struct("<Qdd")
+    state = trailer.unpack(_read_exact(fh, trailer.size, "training state"))
+    if fh.read(1):
+        raise ValueError("checkpoint has trailing bytes after its training state")
+    return header, params, state
+
+
 def load_model(path):
     """Reload a checkpoint; forward passes match the saved model bit-exactly."""
     with open(path, "rb") as fh:
-        header = read_checkpoint_header(fh)
-        config = LrcnConfig(**header["config"])
-        (n_params,) = struct.unpack("<I", fh.read(4))
-        params = {}
-        for _ in range(n_params):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode()
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
-            count = int(np.prod(shape)) if ndim else 1
-            params[name] = np.frombuffer(
-                fh.read(8 * count), dtype="<f8"
-            ).reshape(shape).copy()
-        epoch, lr, best = struct.unpack("<Qdd", fh.read(struct.calcsize("<Qdd")))
+        header, params, (epoch, lr, best) = read_checkpoint(fh)
     cls = _ARCHS[header["arch"]]
-    return cls(config, params, epoch=epoch, lr=lr, best_val_mse=best)
+    return cls(LrcnConfig(**header["config"]), params, epoch=epoch, lr=lr,
+               best_val_mse=best)

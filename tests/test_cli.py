@@ -10,9 +10,9 @@ import pytest
 
 from inertialab import experiments
 from inertialab.cli import main
-from inertialab.dynamics import ProbingSignal, SimConfig
+from inertialab.dynamics import PmuRecordSet, ProbingSignal, SimConfig
 from inertialab.experiments import TrainReport
-from inertialab.nn.model import LrcnConfig
+from inertialab.nn.model import LrcnConfig, make_model
 from inertialab.signals import Dataset, FeatureSet, NormalizationStats
 
 OMEGA = 2.0 * math.pi * 60.0
@@ -63,6 +63,25 @@ BAD_CHECKPOINT_HEADERS = (
     {"arch": "lrcn", "config": {"head_sizes": 5}},
     {"arch": "lrcn", "config": {"learning_rate": "x"}},
 )
+
+
+def bad_checkpoint_blobs(tmp_path):
+    """A valid checkpoint cut inside its (epoch, lr, best) trailer or with 2
+    trailing bytes, and a header length beyond the end of the file."""
+    path = tmp_path / "good-model.bin"
+    config = LrcnConfig(input_len=8, conv1_channels=2, conv2_channels=2,
+                        lstm_units=2, head_sizes=(2,))
+    make_model("lrcn", config).save(path)
+    good = path.read_bytes()
+    return [good[:-5], good + b"\0\0", b"LRCNMDL1" + struct.pack("<Q", 1 << 40)]
+
+
+def record_blob(tmp_path):
+    """A valid one-bus, four-sample PMUREC1 container."""
+    path = tmp_path / "good-record.bin"
+    zeros = np.zeros((1, 4))
+    PmuRecordSet(rate=2880.0, bus_ids=(1,), speed=zeros, rocof=zeros, angle=zeros).save(path)
+    return path.read_bytes()
 
 
 def dataset_blob():
@@ -214,11 +233,12 @@ class TestTrainEval:
 
     def test_malformed_checkpoint_header(self, tiny_case, tmp_path, capsys):
         model = tmp_path / "model.bin"
-        for header in BAD_CHECKPOINT_HEADERS:
-            model.write_bytes(checkpoint_blob(header))
+        blobs = [checkpoint_blob(h) for h in BAD_CHECKPOINT_HEADERS]
+        for blob in blobs + bad_checkpoint_blobs(tmp_path):
+            model.write_bytes(blob)
             rc = main(["eval", "--out", str(tmp_path / "x"), "--model", str(model),
                        "--set", f'case="{tiny_case}"'])
-            assert rc == 3, header
+            assert rc == 3, blob
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
 
@@ -252,11 +272,13 @@ class TestInspect:
     def test_unknown_file(self, tmp_path, capsys):
         path = tmp_path / "mystery.bin"
         # unknown magic, each container cut inside its fixed header, a
-        # dataset 7 bytes short of its declared size or with 2 trailing
-        # bytes, and checkpoint headers that are well formed JSON but not a
-        # checkpoint's
+        # dataset or PMU record 7 bytes short of its declared size or with 2
+        # trailing bytes, checkpoint headers that are well formed JSON but
+        # not a checkpoint's, and checkpoints of the wrong size
         blobs = [b"???", b"INRDSET1\0\0", b"LRCNMDL1\0\0", b"PMUREC1\0\0",
-                 dataset_blob()[:-7], dataset_blob() + b"\0\0"]
+                 dataset_blob()[:-7], dataset_blob() + b"\0\0",
+                 record_blob(tmp_path)[:-7], record_blob(tmp_path) + b"\0\0",
+                 *bad_checkpoint_blobs(tmp_path)]
         for blob in blobs + [checkpoint_blob(h) for h in BAD_CHECKPOINT_HEADERS]:
             path.write_bytes(blob)
             assert main(["inspect", str(path)]) == 3, blob

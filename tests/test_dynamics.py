@@ -317,3 +317,12 @@ class TestRecordContainer:
             np.testing.assert_array_equal(
                 back.channel(name), rec.channel(name).astype(np.float32).astype(np.float64)
             )
+
+    def test_wrong_size_rejected(self, tmp_path):
+        path = tmp_path / "rec.bin"
+        self.make_record().save(path)
+        good = path.read_bytes()
+        for blob in (good[:-7], good + b"\0\0"):
+            path.write_bytes(blob)
+            with pytest.raises(ValueError, match="size mismatch"):
+                PmuRecordSet.load(path)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -320,6 +321,71 @@ class TestDatasetGeneration:
             generate_dataset(tiny_grid(), spec)
         assert err.value.h_index == 0
         assert err.value.amp_index == 1
+
+    def test_instability_in_shared_block_maps_to_its_cell(self):
+        from inertialab.experiments import GenerationError
+
+        # one block holds both H groups; amplitude 10 destabilizes H = 3.0
+        # (index 1) while H = 8.0 (index 0) stays below 1 p.u.
+        spec = self.spec(h_values=(8.0, 3.0), amplitudes=(0.001, 10.0))
+        with pytest.raises(GenerationError) as err:
+            generate_dataset(tiny_grid(), spec)
+        assert (err.value.h_index, err.value.amp_index) == (1, 1)
+
+    def test_networks_differing_beyond_inertia_rejected(self, monkeypatch):
+        from inertialab import experiments
+
+        reduce = experiments.build_reduced_network
+
+        def skewed(grid):  # damping that follows the label
+            net = reduce(grid)
+            return replace(net, damping=net.damping * grid.system_inertia)
+
+        monkeypatch.setattr(experiments, "build_reduced_network", skewed)
+        builder = DatasetBuilder(tiny_grid(), self.spec(h_values=(3.0, 5.0)))
+        with pytest.raises(ValueError, match="differ in damping"):
+            builder.clean_records()
+
+    def test_blocks_match_per_h_integration(self, monkeypatch):
+        from inertialab import experiments
+        from inertialab.dynamics import integrate
+        from inertialab.grid import build_reduced_network, scale_to_target_inertia
+        from inertialab.signals import resample_record
+
+        grid = tiny_grid()
+        spec = DatasetBuilder(grid, self.spec(h_values=(3.0, 5.0, 7.0),
+                                              amplitudes=(0.001, 0.004))).spec
+        expected = []
+        for h_target in spec.h_values:
+            net = build_reduced_network(scale_to_target_inertia(grid, h_target))
+            for amp in spec.amplitudes:
+                rec = integrate(net, replace(spec.probe, amplitude=amp), spec.sim,
+                                monitored=grid.monitored_buses, h_sys=h_target)
+                expected.append(resample_record(rec, spec.target_rate))
+
+        rows_per_loop = []
+        integrate_rows = experiments._integrate_rows
+
+        def spy(net, probe, cfg, inertia, *rest):
+            rows_per_loop.append(len(inertia))
+            return integrate_rows(net, probe, cfg, inertia, *rest)
+
+        monkeypatch.setattr(experiments, "_integrate_rows", spy)
+        group_bytes = 3 * 8 * 2 * len(grid.monitored_buses) * spec.sim.n_samples
+        fingerprints = set()
+        for groups, loops in ((1, [2, 2, 2]), (2, [4, 2]), (3, [6])):
+            monkeypatch.setattr(experiments, "_BLOCK_BYTES", groups * group_bytes)
+            rows_per_loop.clear()
+            builder = DatasetBuilder(grid, spec)
+            records = builder.clean_records()
+            assert rows_per_loop == loops
+            assert len(records) == len(expected)
+            for got, want in zip(records, expected):
+                assert (got.h_sys, got.probe_amplitude) == (want.h_sys, want.probe_amplitude)
+                for name in got.CHANNELS:
+                    assert got.channel(name).tobytes() == want.channel(name).tobytes()
+            fingerprints.add(builder.clean_fingerprint())
+        assert len(fingerprints) == 1
 
 
 class TestFeatureSelectionMachinery:
