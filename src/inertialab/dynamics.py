@@ -55,12 +55,12 @@ _RECORD_OFFSET = len(PMU_RECORD_MAGIC) + _RECORD_HEADER.size
 
 
 class InstabilityError(RuntimeError):
-    """A trajectory left the model's validity region (|dw| > 1 p.u.)."""
+    """A trajectory left the model's validity region (|dw| > 1 p.u. or NaN)."""
 
     def __init__(self, time, trajectory=0):
         self.time = time
         self.trajectory = trajectory
-        super().__init__(f"speed deviation exceeded 1 p.u. at t = {time:.6f} s")
+        super().__init__(f"speed deviation exceeded 1 p.u. or became NaN at t = {time:.6f} s")
 
 
 @dataclass(frozen=True)
@@ -317,7 +317,7 @@ def _integrate_rows(net, probe, cfg, inertia, amplitudes, monitored, out):
     they ride through the RK4 loop together.  ``out`` holds the speed, RoCoF
     and angle buffers, each C-ordered float64 of shape
     [rows, len(monitored), n_samples]; they are overwritten sample by
-    sample.  A row whose speed deviation exceeds 1 p.u. raises
+    sample.  A row whose speed deviation exceeds 1 p.u. or is NaN raises
     :class:`InstabilityError` at the first sample instant where any row
     does so, naming the row with the largest deviation at that instant.
     """
@@ -348,7 +348,7 @@ def _integrate_rows(net, probe, cfg, inertia, amplitudes, monitored, out):
         k1t, k1w = rhs(t, theta, dw)
         if step % sps == 0:
             j = step // sps
-            if np.abs(dw).max() > 1.0:
+            if not (np.abs(dw).max() <= 1.0):  # a NaN deviation fails too
                 raise InstabilityError(t, int(np.argmax(np.abs(dw).max(axis=1))))
             speed[:, :, j] = dw[:, keep]
             rocof[:, :, j] = k1w[:, keep]

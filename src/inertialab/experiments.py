@@ -133,6 +133,11 @@ class DatasetSpec:
         object.__setattr__(self, "features", FeatureSet(self.features))
         if len(self.window) != 2:
             raise ValueError(f"window needs (start, stop), got {self.window}")
+        for name in ("h_values", "amplitudes"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
+        if not all(0 <= a < math.inf for a in self.amplitudes):  # NaN fails too
+            raise ValueError(f"amplitudes must be finite and >= 0, got {list(self.amplitudes)}")
 
     @property
     def n_samples(self):

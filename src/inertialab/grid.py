@@ -234,8 +234,8 @@ def scale_to_target_inertia(grid, target):
     the heterogeneity profile of the fleet is preserved and only the label
     variable moves.  Damping is left untouched.
     """
-    if target <= 0:
-        raise ValueError(f"target inertia must be > 0, got {target}")
+    if not 0 < target < np.inf:  # NaN fails too
+        raise ValueError(f"target inertia must be finite and > 0, got {target}")
     factor = target / grid.system_inertia
     scaled = tuple(
         replace(g, moment_of_inertia=g.moment_of_inertia * factor)

@@ -25,6 +25,9 @@ __all__ = [
     "sgd_step",
 ]
 
+# Steps whose input products share one GEMM when no backward cache is kept.
+STREAM_CHUNK = 64
+
 
 def check_finite(name, array):
     if not np.all(np.isfinite(array)):
@@ -110,39 +113,54 @@ def dense_backward(cache, grad):
     return grad @ weights, grad.T @ x, grad.sum(axis=0)
 
 
-def lstm_forward(x, w_in, w_rec, bias):
+def lstm_forward(x, w_in, w_rec, bias, keep_cache=True):
     """Run an LSTM over ``x`` [B, T, D] and return the final hidden state.
 
     Gate blocks are packed (input, forget, candidate, output) along the last
     axis of ``w_in`` [D, 4l], ``w_rec`` [l, 4l] and ``bias`` [4l].  Initial
     hidden and cell states are zero.
 
-    One batched product writes ``x_t @ w_in`` for every step into a
-    [T, B, 4l] gate buffer; each step adds ``h @ w_rec`` and then ``bias``
-    to its slice in place and replaces it with the gate values.  Every value
-    comes from the same floating-point operations, in the same order, as a
-    plain step-by-step loop, so results do not depend on this layout.  The
-    cache holds the gate buffer and the cell and hidden states of every step
-    (row 0 is the zero initial state).
+    A batched product writes ``x_t @ w_in`` for a block of steps into a
+    gate buffer; each step adds ``h @ w_rec`` and then ``bias`` to its row
+    in place and computes the gate values from it.  The two modes differ
+    only in where a gate row and a state row live:
+
+    * ``keep_cache=True`` (training): one product fills a [T, B, 4l] buffer,
+      each step writes its gate values back over its row, and the cell and
+      hidden states of every step are kept (row 0 is the zero initial
+      state).  Returns ``(h, cache)`` for :func:`lstm_backward`.
+    * ``keep_cache=False`` (inference): one product per
+      ``STREAM_CHUNK`` steps fills a [STREAM_CHUNK, B, 4l] buffer, the
+      states alternate between two rows and nothing is written back.
+      Returns ``(h, None)``.
+
+    Every value comes from the same floating-point operations, in the same
+    order, as a plain step-by-step loop, so both modes give the same bits.
     """
     x = check_finite("lstm", np.asarray(x, dtype=np.float64))
     if x.ndim != 3:
         raise ValueError(f"expected input [B, T, D], got {x.shape}")
     b, t_steps, _ = x.shape
     units = w_rec.shape[0]
+    chunk = t_steps if keep_cache else STREAM_CHUNK
+    rows = t_steps + 1 if keep_cache else 2
     bias_rows = np.tile(bias, (b, 1))
-    gates = np.empty((t_steps, b, 4 * units))
-    np.matmul(x.transpose(1, 0, 2), w_in, out=gates)
-    cells = np.zeros((t_steps + 1, b, units))
-    hiddens = np.zeros((t_steps + 1, b, units))
+    x_steps = x.transpose(1, 0, 2)
+    gates = np.empty((min(chunk, t_steps), b, 4 * units))
+    cells = np.zeros((rows, b, units))
+    hiddens = np.zeros((rows, b, units))
     rec = np.empty((b, 4 * units))
     neg_z, num, den, slots = np.empty((4, 4, b, units))
     nonneg = np.empty((4, b, units), dtype=bool)
     ig = np.empty((b, units))
     gi, gf, gg, go = slots  # the step's gates, one contiguous block each
     for t in range(t_steps):
-        z = gates[t]
-        np.matmul(hiddens[t], w_rec, out=rec)
+        if t % chunk == 0:
+            block = x_steps[t : t + chunk]
+            np.matmul(block, w_in, out=gates[: len(block)])
+        z = gates[t % chunk]
+        prev, cur = t % rows, (t + 1) % rows
+        np.matmul(hiddens[prev], w_rec, out=rec)
         z += rec
         z += bias_rows
         z_slots = z.reshape(b, 4, units).transpose(1, 0, 2)
@@ -156,15 +174,17 @@ def lstm_forward(x, w_in, w_rec, bias):
         np.copyto(num, 1.0, where=nonneg)
         np.divide(num, den, out=slots)
         np.tanh(z_slots[2], out=gg)
-        np.copyto(z_slots, slots)
-        c = cells[t + 1]
-        np.multiply(gf, cells[t], out=c)
+        if keep_cache:
+            np.copyto(z_slots, slots)
+        c = cells[cur]
+        np.multiply(gf, cells[prev], out=c)
         np.multiply(gi, gg, out=ig)
         c += ig
-        h = hiddens[t + 1]
+        h = hiddens[cur]
         np.tanh(c, out=h)
         h *= go
-    return hiddens[t_steps], (x, w_in, w_rec, gates, cells, hiddens)
+    cache = (x, w_in, w_rec, gates, cells, hiddens) if keep_cache else None
+    return hiddens[t_steps % rows], cache
 
 
 def lstm_backward(cache, grad_h):
@@ -237,7 +257,11 @@ def mse_gradient(targets, predictions):
 
 
 def sgd_step(weights, grad, learning_rate):
-    """Plain gradient-descent update ``w - lr * grad``."""
+    """Plain gradient-descent update ``w -= lr * grad``, in place.
+
+    ``weights`` is overwritten and returned; ``grad`` is left unchanged.
+    """
     if learning_rate <= 0:
         raise ValueError(f"learning rate must be > 0, got {learning_rate}")
-    return weights - learning_rate * np.asarray(grad)
+    weights -= learning_rate * np.asarray(grad)
+    return weights

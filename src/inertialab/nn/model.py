@@ -203,19 +203,20 @@ class _RegressionNet:
         return grads
 
     def forward(self, batch):
-        pred, _ = self._forward_with_cache(batch)
+        """Predictions only: the LSTM keeps no backward cache."""
+        pred, _ = self._forward(batch, keep_cache=False)
         return pred
 
     def forward_backward(self, batch, targets):
         """One differentiation pass: (predictions, loss, parameter grads)."""
-        pred, cache = self._forward_with_cache(batch)
+        pred, cache = self._forward(batch, keep_cache=True)
         loss = layers.mse(targets, pred)
         grads = self._backward(cache, layers.mse_gradient(targets, pred))
         return pred, loss, grads
 
     def apply_gradients(self, grads, learning_rate):
         for name, grad in grads.items():
-            self.params[name] = layers.sgd_step(self.params[name], grad, learning_rate)
+            layers.sgd_step(self.params[name], grad, learning_rate)  # in place
 
     def copy_params(self):
         return {name: value.copy() for name, value in self.params.items()}
@@ -264,12 +265,13 @@ class LrcnModel(_RegressionNet):
             "lstm_b": bias,
         }
 
-    def _forward_with_cache(self, batch):
+    def _forward(self, batch, keep_cache):
         stride = self.config.sequence_stride
         seq, conv_cache = self._conv_stack(batch)
         sub = seq[:, ::stride, :]
         hidden, lstm_cache = layers.lstm_forward(
-            sub, self.params["lstm_w_in"], self.params["lstm_w_rec"], self.params["lstm_b"]
+            sub, self.params["lstm_w_in"], self.params["lstm_w_rec"], self.params["lstm_b"],
+            keep_cache=keep_cache,
         )
         pred, head_cache = _head_forward(self.params, len(self.config.head_sizes), hidden)
         return pred, (conv_cache, seq.shape, lstm_cache, head_cache)
@@ -307,7 +309,8 @@ class CnnModel(_RegressionNet):
     def _extra_params(rng, config):
         return {}
 
-    def _forward_with_cache(self, batch):
+    def _forward(self, batch, keep_cache):
+        # no LSTM, so there is no cache to drop
         seq, conv_cache = self._conv_stack(batch)
         flat = seq.reshape(seq.shape[0], -1)
         pred, head_cache = _head_forward(self.params, len(self.config.head_sizes), flat)

@@ -141,6 +141,28 @@ class TestGenData:
         assert rc == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("assignment, key", [
+        ("dataset.amplitudes=[-0.001]", "amplitudes"),
+        ("dataset.amplitudes=[]", "amplitudes"),
+        ("dataset.h_values=[]", "h_values"),
+    ])
+    def test_bad_grid_exit_code(self, tiny_case, tmp_path, capsys, assignment, key):
+        out = tmp_path / "run"
+        assert main(gen_args(tiny_case, out) + ["--set", assignment]) == 3
+        assert key in capsys.readouterr().err
+        assert not (out / "dataset.bin").exists()
+
+    def test_nan_trajectory_exit_code(self, tmp_path, capsys):
+        # a NaN rating gives NaN swing coefficients and speed deviations; with
+        # one H value no cross-H consistency check sees it first
+        case = tmp_path / "nan.case"
+        case.write_text(tiny_case_text().replace("100.0 1.0\nG2", "nan 1.0\nG2"))
+        out = tmp_path / "run"
+        args = gen_args(str(case), out) + ["--set", "dataset.h_values=[3.0]"]
+        assert main(args) == 3
+        assert "simulation failed" in capsys.readouterr().err
+        assert not (out / "dataset.bin").exists()
+
     def test_lockfile_blocks_concurrent_use(self, tiny_case, tmp_path, capsys):
         out = tmp_path / "run"
         out.mkdir()

@@ -27,6 +27,7 @@ from inertialab.experiments import (
     train,
     wrapper_feature_selection,
 )
+from inertialab.nn import layers
 from inertialab.nn.model import LrcnConfig
 from inertialab.signals import Dataset, FeatureSet, NormalizationStats
 
@@ -78,6 +79,17 @@ class TestGrids:
 
     def test_spec_sample_count(self):
         assert DatasetSpec().n_samples == 1100
+
+    @pytest.mark.parametrize("kw, key", [
+        (dict(amplitudes=(0.001, -0.001)), "amplitudes"),
+        (dict(amplitudes=(float("nan"),)), "amplitudes"),
+        (dict(amplitudes=(float("inf"),)), "amplitudes"),
+        (dict(amplitudes=()), "amplitudes"),
+        (dict(h_values=()), "h_values"),
+    ])
+    def test_spec_rejects_bad_grids(self, kw, key):
+        with pytest.raises(ValueError, match=key):
+            DatasetSpec(**kw)
 
 
 class TestSplit:
@@ -179,6 +191,17 @@ class TestTrainLoop:
             np.testing.assert_array_equal(model.params[name], fresh.params[name])
         assert report.train_curve == ()
         assert math.isnan(report.best_val_mse)
+
+    def test_returns_best_epoch_parameters(self):
+        # the update is in place, so the kept parameters must be a copy
+        ds = toy_dataset(n=24, length=24)
+        tr, va = split(ds, 0.8, 0)
+        model, report = train(self.small_config(24), tr, va, epochs=5, seed=0)
+        assert report.best_epoch < 5
+        assert layers.mse(va.labels, predict(model, va)) == report.best_val_mse
+        at_best, _ = train(self.small_config(24), tr, va, epochs=report.best_epoch, seed=0)
+        for name, value in at_best.params.items():
+            np.testing.assert_array_equal(model.params[name], value, err_msg=name)
 
     def test_curve_lengths_match_epochs(self):
         ds = toy_dataset(n=20, length=24)

@@ -169,8 +169,9 @@ class TestScaleToTarget:
         ]
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            scale_to_target_inertia(two_bus_grid(), 0.0)
+        for target in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                scale_to_target_inertia(two_bus_grid(), target)
 
 
 class TestReduction:

@@ -82,6 +82,17 @@ class TestDense:
             layers.dense_forward(np.zeros((1, 3)), np.zeros((2, 4)), np.zeros(2))
 
 
+# (batch, steps, stride): the streaming pass computes its input products
+# in chunks of layers.STREAM_CHUNK = 64 steps
+LSTM_SHAPES = {
+    "contiguous": (5, 64, 1),  # exactly one chunk
+    "strided": (5, 64, 3),
+    "short": (5, 20, 1),  # shorter than one chunk
+    "chunks": (5, 150, 1),  # two full chunks and a partial one
+    "single-row": (1, 150, 1),
+}
+
+
 class TestLstm:
     def test_zero_weights_zero_state(self):
         x = np.random.default_rng(2).normal(size=(3, 7, 4))
@@ -162,20 +173,25 @@ class TestLstm:
             d_c = d_c * f
         return hs[-1], (d_x, d_w_in, d_w_rec, d_bias)
 
-    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
-    def test_fused_kernel_matches_reference(self, layout):
+    @pytest.mark.parametrize("batch, steps, stride, keep_cache", [
+        pytest.param(*shape, keep_cache, id=name if keep_cache else f"{name}-stream")
+        for keep_cache in (True, False)
+        for name, shape in LSTM_SHAPES.items()
+    ])
+    def test_fused_kernel_matches_reference(self, batch, steps, stride, keep_cache):
         rng = np.random.default_rng(5)
         units = 6
-        if layout == "contiguous":
-            x = rng.normal(size=(5, 64, 3))
-        else:
-            x = rng.normal(size=(5, 192, 3))[:, ::3, :]
+        x = rng.normal(size=(batch, steps * stride, 3))[:, ::stride, :]
         w_in = rng.uniform(-0.6, 0.6, size=(3, 4 * units))
         w_rec = rng.uniform(-0.6, 0.6, size=(units, 4 * units))
         bias = rng.normal(scale=0.3, size=4 * units)
-        grad_h = rng.normal(size=(5, units))
-        h, cache = layers.lstm_forward(x, w_in, w_rec, bias)
-        got = (h, *layers.lstm_backward(cache, grad_h))
+        grad_h = rng.normal(size=(batch, units))
+        h, cache = layers.lstm_forward(x, w_in, w_rec, bias, keep_cache=keep_cache)
+        if keep_cache:
+            got = (h, *layers.lstm_backward(cache, grad_h))
+        else:
+            assert cache is None
+            got = (h,)
         names = ("h", "d_x", "d_w_in", "d_w_rec", "d_bias")
 
         def plain(z):
@@ -196,6 +212,14 @@ class TestLstm:
         ref_h, ref_grads = self.reference_lstm(x, w_in, w_rec, bias, grad_h, split)
         for name, a, want in zip(names, got, (ref_h, *ref_grads)):
             np.testing.assert_array_equal(a, want, err_msg=name)
+
+    @pytest.mark.parametrize("keep_cache", [True, False])
+    def test_non_finite_input_rejected(self, keep_cache):
+        x = np.zeros((2, 70, 3))
+        x[1, 66, 0] = np.nan
+        with pytest.raises(FloatingPointError):
+            layers.lstm_forward(x, np.zeros((3, 8)), np.zeros((2, 8)), np.zeros(8),
+                                keep_cache=keep_cache)
 
 
 class TestMse:
@@ -220,7 +244,16 @@ class TestMse:
 class TestSgdStep:
     def test_zero_gradient(self):
         w = np.array([1.0, -2.0])
-        np.testing.assert_array_equal(layers.sgd_step(w, np.zeros(2), 0.1), w)
+        before = w.copy()
+        np.testing.assert_array_equal(layers.sgd_step(w, np.zeros(2), 0.1), before)
+
+    def test_updates_weights_in_place(self):
+        w = np.array([1.0, -2.0])
+        g = np.array([2.0, 4.0])
+        expected = w - 0.25 * g
+        assert layers.sgd_step(w, g, 0.25) is w
+        np.testing.assert_array_equal(w, expected)
+        np.testing.assert_array_equal(g, [2.0, 4.0])
 
     def test_hand_example(self):
         assert layers.sgd_step(np.array([1.0]), np.array([2.0]), 0.1)[0] == pytest.approx(0.8)

@@ -1,5 +1,7 @@
 """Model structure, determinism, checkpointing and the LR schedule."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,18 @@ class TestForward:
         np.testing.assert_allclose(seq_scaled, 3.5 * seq, rtol=1e-12)
         seq_zero, _ = model._conv_stack(0.0 * batch)
         np.testing.assert_allclose(seq_zero, 0.0 * seq, atol=0.0)
+
+    @pytest.mark.parametrize("arch, stride", [("lrcn", 1), ("lrcn", 8), ("cnn", 1)])
+    def test_forward_matches_training_pass_bytes(self, arch, stride):
+        # forward streams the LSTM with no backward cache; at stride 1 the
+        # 198-step sequence spans several of its input-product chunks
+        config = replace(SMALL, input_len=200, sequence_stride=stride)
+        model = make_model(arch, config)
+        rng = np.random.default_rng(6)
+        batch = rng.uniform(size=(3, config.input_len))
+        targets = rng.uniform(3.0, 8.0, size=3)
+        pred, _, _ = model.forward_backward(batch, targets)
+        assert model.forward(batch).tobytes() == pred.tobytes()
 
     def test_input_length_checked(self):
         model = make_model("lrcn", SMALL)
