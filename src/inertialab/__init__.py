@@ -14,7 +14,6 @@ from .dynamics import (
     ProbingSignal,
     SimConfig,
     integrate,
-    probe_waveform,
     single_machine_response,
     swing_rhs,
 )
@@ -40,7 +39,6 @@ from .signals import (
     assemble_features,
     extract_window,
     measured_snr,
-    minmax_normalize,
     resample,
     resample_record,
 )

@@ -61,9 +61,8 @@ EXIT_VALIDATION = 3
 EXIT_MISMATCH = 4
 EXIT_DIVERGED = 5
 
-# Library fields the CLI does not expose: the model input length follows
-# from the dataset, and the angle reference has one supported value.
-_UNEXPOSED = ("input_len", "reference")
+# The model input length follows from the dataset, so the CLI does not expose it.
+_UNEXPOSED = ("input_len",)
 
 # Keys naming a file: null or a string.
 _PATH_KEYS = ("case", "paths.dataset", "paths.model")
@@ -208,15 +207,13 @@ def _build_spec(cfg):
     )
 
 
-def _model_configs(cfg, input_len, archs=("lrcn", "cnn")):
-    """Model config per architecture; the flatten baseline has its own rate."""
-    config = LrcnConfig(input_len=input_len, **cfg["model"])
+def _model_configs(cfg, archs=("lrcn", "cnn")):
+    """Model config per architecture; the flatten baseline has its own rate.
+
+    ``train`` sets ``input_len`` from the data each config is trained on.
+    """
+    config = LrcnConfig(**cfg["model"])
     return configs_by_arch(config, archs, cfg["train"]["cnn_learning_rate"])
-
-
-def _spec_tensor_len(spec, grid):
-    window_samples = round(spec.target_rate * (spec.window[1] - spec.window[0]))
-    return window_samples * len(spec.features) * len(grid.monitored_buses)
 
 
 def run_fingerprint(cfg):
@@ -300,7 +297,7 @@ def _train(out, cfg, grid, spec):
     dataset = _load_or_generate_dataset(cfg, grid, spec, out)
     t = cfg["train"]
     arch = t["arch"]
-    config = _model_configs(cfg, dataset.tensor_length, (arch,))[arch]
+    config = _model_configs(cfg, (arch,))[arch]
     train_set, val_set = split(dataset, t["train_fraction"], t["split_seed"])
     model, report = train(
         config, train_set, val_set, epochs=t["epochs"], seed=t["train_seed"], arch=arch
@@ -360,7 +357,7 @@ def _write_arms(out, stamp, name, column, arms, report_prefix, title):
 
 def _select_features(out, cfg, grid, spec):
     arch = cfg["train"]["arch"]
-    config = _model_configs(cfg, _spec_tensor_len(spec, grid), (arch,))[arch]
+    config = _model_configs(cfg, (arch,))[arch]
     scorer = SubsetScorer(DatasetBuilder(grid, spec), config, arch=arch,
                           **_training_keys(cfg))
     result = wrapper_feature_selection(scorer)
@@ -388,7 +385,7 @@ def _select_features(out, cfg, grid, spec):
 
 def _compare_windows(out, cfg, grid, spec):
     arch = cfg["train"]["arch"]
-    config = _model_configs(cfg, _spec_tensor_len(spec, grid), (arch,))[arch]
+    config = _model_configs(cfg, (arch,))[arch]
     result = compare_time_windows(grid, spec, config, arch=arch, **_training_keys(cfg))
     arms = {f"{w[0]}-{w[1]}": r for w, r in result.reports.items()}
     _write_arms(out, _stamp(cfg), "window_comparison", "window", arms, "report_window_",
@@ -398,7 +395,7 @@ def _compare_windows(out, cfg, grid, spec):
 
 
 def _compare_models(out, cfg, grid, spec):
-    configs = _model_configs(cfg, _spec_tensor_len(spec, grid))
+    configs = _model_configs(cfg)
     result = compare_models(grid, spec, configs, **_training_keys(cfg))
     _write_arms(out, _stamp(cfg), "model_comparison", "model", result.reports, "report_",
                 "validation MSE by architecture")
@@ -407,7 +404,7 @@ def _compare_models(out, cfg, grid, spec):
 
 
 def _compare_snr(out, cfg, grid, spec):
-    configs = _model_configs(cfg, _spec_tensor_len(spec, grid))
+    configs = _model_configs(cfg)
     study = snr_robustness_study(
         grid, spec, configs, snr_levels=cfg["train"]["snr_levels"], **_training_keys(cfg)
     )

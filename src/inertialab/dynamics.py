@@ -42,7 +42,6 @@ __all__ = [
     "SimConfig",
     "PmuRecordSet",
     "InstabilityError",
-    "probe_waveform",
     "swing_rhs",
     "integrate",
     "single_machine_response",
@@ -112,13 +111,6 @@ def _base_waveform(spec, t):
     return float(_prbs_chips(spec.seed, n_chips)[chip])
 
 
-def probe_waveform(spec, t):
-    """Injected power (p.u.) of probe ``spec`` at time ``t >= 0``."""
-    if t < 0:
-        raise ValueError("time must be >= 0")
-    return spec.amplitude * _base_waveform(spec, t)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Integration and acquisition settings.
@@ -132,7 +124,6 @@ class SimConfig:
     t_end: float = 1.5
     integrator_step: float = 1.0 / 5760.0
     pmu_rate: float = 2880.0
-    reference: str = "center_of_inertia"
 
     def __post_init__(self):
         if self.t_end < 1.5:
@@ -142,8 +133,6 @@ class SimConfig:
         sps = 1.0 / (self.integrator_step * self.pmu_rate)
         if abs(sps - round(sps)) > 1e-9:
             raise ValueError("PMU period must be an integer number of steps")
-        if self.reference != "center_of_inertia":
-            raise ValueError(f"unknown angle reference {self.reference!r}")
 
     @property
     def steps_per_sample(self):

@@ -62,7 +62,6 @@ __all__ = [
     "default_h_grid",
     "paper_amplitude_grid",
     "desk_amplitude_grid",
-    "generate_dataset",
     "split",
     "train",
     "predict",
@@ -105,12 +104,16 @@ class GenerationError(RuntimeError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite during training."""
+    """A loss, or a value entering a layer, became non-finite during training.
 
-    def __init__(self, epoch, batch):
+    ``batch`` is -1 for the epoch's validation pass; ``cause`` names what
+    went non-finite, such as the layer of a :class:`FloatingPointError`.
+    """
+
+    def __init__(self, epoch, batch, cause="non-finite loss"):
         self.epoch = epoch
         self.batch = batch
-        super().__init__(f"non-finite loss at epoch {epoch}, batch {batch}")
+        super().__init__(f"{cause} at epoch {epoch}, batch {batch}")
 
 
 @dataclass(frozen=True)
@@ -316,13 +319,7 @@ class DatasetBuilder:
             snr_db=snr_db,
             n_buses=n_buses,
             stats=stats,
-            amplitudes=np.array([rec.probe_amplitude for rec in records]),
         )
-
-
-def generate_dataset(grid, spec):
-    """Simulate the full (inertia, amplitude) grid into a training corpus."""
-    return DatasetBuilder(grid, spec).build()
 
 
 def split(dataset, train_fraction=0.8, seed=0):
@@ -421,42 +418,6 @@ class TrainReport:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 
-    @classmethod
-    def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-        if not lines or lines[0] != "INERTIA-REPORT v1":
-            raise ValueError("not a train report file")
-        kv = {}
-        idx = 1
-        while idx < len(lines) and lines[idx] != "[CURVES]":
-            key, _, value = lines[idx].partition(" ")
-            kv[key] = value
-            idx += 1
-        curves = []
-        for ln in lines[idx + 2 :]:
-            if ln == "[END]":
-                break
-            _, tr, va, lr = ln.split(",")
-            curves.append((float(tr), float(va), float(lr)))
-        return cls(
-            arch=kv["arch"],
-            epochs=int(kv["epochs"]),
-            train_curve=tuple(c[0] for c in curves),
-            val_curve=tuple(c[1] for c in curves),
-            lr_trace=tuple(c[2] for c in curves),
-            metrics=Metrics(
-                mse=float(kv["final_mse"]),
-                r2=float(kv["final_r2"]),
-                acc10=float(kv["final_acc10"]),
-            ),
-            best_epoch=int(kv["best_epoch"]),
-            best_val_mse=float(kv["best_val_mse"]),
-            wall_clock=float(kv["wall_clock_s"]),
-            config_fingerprint=kv["config_fingerprint"],
-            dataset_fingerprint=kv["dataset_fingerprint"],
-        )
-
 
 def train(config, train_set, val_set, epochs, seed=0, arch="lrcn"):
     """Gradient-descent training with the plateau schedule.
@@ -464,15 +425,14 @@ def train(config, train_set, val_set, epochs, seed=0, arch="lrcn"):
     Per epoch: seeded shuffle, fixed-size batches (the trailing short batch
     is kept), forward, MSE, backprop, plain descent update; then one
     validation pass drives the learning-rate schedule.  The parameters of
-    the best validation epoch are retained on the returned model.
+    the best validation epoch are retained on the returned model.  The
+    model's ``input_len`` is the tensor length of ``train_set``, whatever
+    ``config`` holds.  A non-finite loss, or a non-finite value entering any
+    layer, raises :class:`TrainingDivergedError`.
     """
     if len(train_set) and config.batch_size > len(train_set):
         raise ValueError("batch size exceeds training-set size")
-    if train_set.tensor_length != config.input_len:
-        raise ValueError(
-            f"config input_len {config.input_len} does not match "
-            f"tensor length {train_set.tensor_length}"
-        )
+    config = replace(config, input_len=train_set.tensor_length)
     started = time.perf_counter()
     model = make_model(arch, config)
     schedule = ReduceLrOnPlateau(
@@ -493,16 +453,20 @@ def train(config, train_set, val_set, epochs, seed=0, arch="lrcn"):
     for epoch in range(1, epochs + 1):
         perm = rng.permutation(n)
         squared_sum = 0.0
-        for batch_no, start in enumerate(range(0, n, config.batch_size), start=1):
-            idx = perm[start : start + config.batch_size]
-            _, loss, grads = model.forward_backward(
-                train_set.tensors[idx], train_set.labels[idx]
-            )
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(epoch, batch_no)
-            model.apply_gradients(grads, lr)
-            squared_sum += loss * len(idx)
-        val_mse = layers.mse(val_set.labels, predict(model, val_set))
+        try:
+            for batch_no, start in enumerate(range(0, n, config.batch_size), start=1):
+                idx = perm[start : start + config.batch_size]
+                _, loss, grads = model.forward_backward(
+                    train_set.tensors[idx], train_set.labels[idx]
+                )
+                if not math.isfinite(loss):
+                    raise TrainingDivergedError(epoch, batch_no)
+                model.apply_gradients(grads, lr)
+                squared_sum += loss * len(idx)
+            batch_no = -1
+            val_mse = layers.mse(val_set.labels, predict(model, val_set))
+        except FloatingPointError as exc:  # check_finite names the layer
+            raise TrainingDivergedError(epoch, batch_no, str(exc)) from exc
         if not math.isfinite(val_mse):
             raise TrainingDivergedError(epoch, -1)
         if val_mse < best_val:
@@ -561,9 +525,8 @@ class SubsetScorer:
             features = FeatureSet(subset)
             dataset = self.builder.build(features=features, snr_db=snr_db, window=window)
             train_set, val_set = split(dataset, self.train_fraction, self.split_seed)
-            config = replace(self.config, input_len=dataset.tensor_length)
             _, report = train(
-                config, train_set, val_set, self.epochs, self.train_seed, self.arch
+                self.config, train_set, val_set, self.epochs, self.train_seed, self.arch
             )
             self._memo[key] = report.metrics.acc10
         return self._memo[key]

@@ -94,14 +94,15 @@ class GeneratorParams:
     damping: float = 1.0
 
     def __post_init__(self):
-        if self.moment_of_inertia < 0:
-            raise CaseValidationError(f"generator {self.id}: J < 0")
-        if self.rated_power <= 0:
-            raise CaseValidationError(f"generator {self.id}: rated power <= 0")
-        if self.nominal_speed <= 0:
-            raise CaseValidationError(f"generator {self.id}: nominal speed <= 0")
-        if self.damping < 0:
-            raise CaseValidationError(f"generator {self.id}: damping < 0")
+        # written so that NaN fails each bound too
+        if not 0 <= self.moment_of_inertia < np.inf:
+            raise CaseValidationError(f"generator {self.id}: J must be finite and >= 0")
+        if not 0 < self.rated_power < np.inf:
+            raise CaseValidationError(f"generator {self.id}: rated power must be finite and > 0")
+        if not 0 < self.nominal_speed < np.inf:
+            raise CaseValidationError(f"generator {self.id}: nominal speed must be finite and > 0")
+        if not 0 <= self.damping < np.inf:
+            raise CaseValidationError(f"generator {self.id}: damping must be finite and >= 0")
 
     @property
     def inertia(self):
@@ -109,10 +110,6 @@ class GeneratorParams:
         return inertia_constant(
             self.moment_of_inertia, self.nominal_speed, self.rated_power
         )
-
-    @property
-    def stored_energy(self):
-        return rotational_energy(self.moment_of_inertia, self.nominal_speed)
 
 
 @dataclass(frozen=True)
@@ -167,14 +164,19 @@ class GridModel:
         if len(set(bus_ids)) != len(bus_ids):
             raise CaseValidationError("duplicate bus ids")
         known = set(bus_ids)
+        for b in self.buses:
+            if not np.isfinite(b.load_mw):
+                raise CaseValidationError(f"bus {b.id}: load must be finite")
         for br in self.branches:
             if br.from_bus not in known or br.to_bus not in known:
                 raise CaseValidationError(
                     f"branch {br.from_bus}-{br.to_bus} references an unknown bus"
                 )
-            if br.susceptance <= 0:
+            if br.from_bus == br.to_bus:
+                raise CaseValidationError(f"branch {br.from_bus}-{br.to_bus} is a self-loop")
+            if not 0 < br.susceptance < np.inf:
                 raise CaseValidationError(
-                    f"branch {br.from_bus}-{br.to_bus}: susceptance must be > 0"
+                    f"branch {br.from_bus}-{br.to_bus}: susceptance must be finite and > 0"
                 )
         if not self.generators:
             raise CaseValidationError("case has no generators")
@@ -183,8 +185,8 @@ class GridModel:
                 raise CaseValidationError(
                     f"generator {g.id} references unknown bus {g.bus}"
                 )
-        if self.system_base <= 0:
-            raise CaseValidationError("system base must be > 0")
+        if not 0 < self.system_base < np.inf:
+            raise CaseValidationError("system base must be finite and > 0")
         gen_buses = {g.bus for g in self.generators}
         for b in self.monitored_buses:
             if b not in gen_buses:
@@ -280,10 +282,8 @@ def build_reduced_network(grid):
     Laplacian before the Schur-complement elimination.  The flat point
     (all angles equal, zero injections) is an exact equilibrium of the
     reduced model, so pre-probe trajectories are identically quiescent.
+    ``grid`` is connected: a ``GridModel`` is validated on construction.
     """
-    if not grid._connected():
-        raise CaseValidationError("network graph is not connected")
-
     order = [b.id for b in sorted(grid.buses, key=lambda b: b.id)]
     index = {bus_id: i for i, bus_id in enumerate(order)}
     n_all = len(order)

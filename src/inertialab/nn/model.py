@@ -89,10 +89,6 @@ class LrcnConfig:
         """Element count leaving the conv stack (valid conv then same conv)."""
         return self.conv_output_len * self.conv2_channels
 
-    @property
-    def lstm_steps(self):
-        return (self.conv_output_len + self.sequence_stride - 1) // self.sequence_stride
-
 
 def _he_uniform(rng, shape, fan_in):
     limit = np.sqrt(6.0 / fan_in)

@@ -36,7 +36,6 @@ __all__ = [
     "assemble_features",
     "compute_normalization",
     "apply_normalization",
-    "minmax_normalize",
     "replace_with_noise",
 ]
 
@@ -277,12 +276,6 @@ def apply_normalization(batch, stats):
     return scaled.reshape(view.shape[0], -1)
 
 
-def minmax_normalize(batch, n_channels):
-    """Convenience wrapper: compute stats on ``batch`` and apply them."""
-    stats = compute_normalization(batch, n_channels)
-    return apply_normalization(batch, stats), stats
-
-
 @dataclass
 class Dataset:
     """Normalized training corpus: tensors, labels and pipeline provenance.
@@ -299,7 +292,6 @@ class Dataset:
     snr_db: float
     n_buses: int
     stats: NormalizationStats
-    amplitudes: np.ndarray | None = None  # per-sample probe amplitude, if known
 
     def __post_init__(self):
         self.tensors = np.asarray(self.tensors, dtype=np.float64)
@@ -315,7 +307,6 @@ class Dataset:
         return self.tensors.shape[1]
 
     def subset(self, indices):
-        amps = None if self.amplitudes is None else self.amplitudes[indices]
         return Dataset(
             tensors=self.tensors[indices],
             labels=self.labels[indices],
@@ -324,7 +315,6 @@ class Dataset:
             snr_db=self.snr_db,
             n_buses=self.n_buses,
             stats=self.stats,
-            amplitudes=amps,
         )
 
     def to_bytes(self):
@@ -339,17 +329,16 @@ class Dataset:
             float(self.snr_db),
             self.stats.n_channels,
         )
-        blobs = [
+        records = np.empty(len(self), _record_dtype(self.tensor_length))
+        records["label"] = self.labels
+        records["row"] = self.tensors
+        return b"".join([
             DATASET_MAGIC,
             head,
             np.asarray(self.stats.minima, dtype="<f8").tobytes(),
             np.asarray(self.stats.maxima, dtype="<f8").tobytes(),
-        ]
-        values = np.ascontiguousarray(self.tensors, dtype="<f4")
-        for label, row in zip(self.labels, values):
-            blobs.append(struct.pack("<d", label))
-            blobs.append(row.tobytes())
-        return b"".join(blobs)
+            records,
+        ])
 
     def save(self, path):
         with open(path, "wb") as fh:
@@ -376,16 +365,10 @@ class Dataset:
         off += 8 * n_chan
         maxima = np.frombuffer(blob, dtype="<f8", count=n_chan, offset=off).copy()
         off += 8 * n_chan
-        labels = np.empty(n)
-        tensors = np.empty((n, length), dtype=np.float32)
-        for i in range(n):
-            (labels[i],) = struct.unpack_from("<d", blob, off)
-            off += 8
-            tensors[i] = np.frombuffer(blob, dtype="<f4", count=length, offset=off)
-            off += 4 * length
+        records = np.frombuffer(blob, dtype=_record_dtype(length), count=n, offset=off)
         return cls(
-            tensors=tensors.astype(np.float64),
-            labels=labels,
+            tensors=records["row"].astype(np.float64),
+            labels=records["label"].copy(),
             features=FeatureSet.from_bitmask(mask),
             window=(t0, t1),
             snr_db=snr_db,
@@ -397,6 +380,11 @@ class Dataset:
     def load(cls, path):
         with open(path, "rb") as fh:
             return cls.from_bytes(fh.read())
+
+
+def _record_dtype(length):
+    """One packed INRDSET1 sample: float64 label, then its float32 row."""
+    return np.dtype([("label", "<f8"), ("row", "<f4", (length,))])
 
 
 def _read_header(blob):

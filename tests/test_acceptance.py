@@ -19,7 +19,6 @@ from inertialab.experiments import (
     SubsetScorer,
     desk_amplitude_grid,
     exhaustive_subset_scores,
-    generate_dataset,
     metrics_from_predictions,
     paper_amplitude_grid,
     split,
@@ -36,8 +35,9 @@ from inertialab.signals import (
     Feature,
     FeatureSet,
     add_noise,
+    apply_normalization,
+    compute_normalization,
     measured_snr,
-    minmax_normalize,
     replace_with_noise,
 )
 
@@ -216,7 +216,7 @@ def test_criterion_05_noise_calibration():
     snr_ok = max(deviations) <= 0.5
 
     batch = rng.normal(size=(64, 3 * 50))
-    normalized, _ = minmax_normalize(batch, n_channels=3)
+    normalized = apply_normalization(batch, compute_normalization(batch, n_channels=3))
     view = normalized.reshape(64, 3, 50)
     range_ok = all(
         view[:, c, :].min() == 0.0 and view[:, c, :].max() == 1.0 for c in range(3)
@@ -231,10 +231,10 @@ def test_criterion_05_noise_calibration():
 def test_criterion_06_dataset_contract(grid):
     started = time.perf_counter()
     spec = DatasetSpec(amplitudes=paper_amplitude_grid(), base_seed=3)
-    first = generate_dataset(grid, spec)
+    first = DatasetBuilder(grid, spec).build()
     blob_a = first.to_bytes()
     train_set, val_set = split(first, 0.8, seed=3)
-    blob_b = generate_dataset(grid, spec).to_bytes()
+    blob_b = DatasetBuilder(grid, spec).build().to_bytes()
     elapsed = time.perf_counter() - started
     ok = (
         len(first) == 1100

@@ -11,15 +11,14 @@ import pytest
 from inertialab import experiments
 from inertialab.cli import main
 from inertialab.dynamics import PmuRecordSet, ProbingSignal, SimConfig
-from inertialab.experiments import TrainReport
 from inertialab.nn.model import LrcnConfig, make_model
 from inertialab.signals import Dataset, FeatureSet, NormalizationStats
 
 OMEGA = 2.0 * math.pi * 60.0
+J1 = 2 * 4.0 * 100 / OMEGA**2  # moment of inertia of the tiny case's G1
 
 
 def tiny_case_text():
-    j1 = 2 * 4.0 * 100 / OMEGA**2
     j2 = 2 * 3.5 * 100 / OMEGA**2
     return f"""INERTIA-CASE v1
 [BUS]
@@ -31,7 +30,7 @@ def tiny_case_text():
 2 3 3.0
 1 2 1.0
 [GEN]
-G1 1 {j1!r} {OMEGA!r} 100.0 1.0
+G1 1 {J1!r} {OMEGA!r} 100.0 1.0
 G2 2 {j2!r} {OMEGA!r} 100.0 1.0
 [MONITOR]
 1 2
@@ -153,14 +152,40 @@ class TestGenData:
         assert not (out / "dataset.bin").exists()
 
     def test_nan_trajectory_exit_code(self, tmp_path, capsys):
-        # a NaN rating gives NaN swing coefficients and speed deviations; with
-        # one H value no cross-H consistency check sees it first
+        # a NaN rating would give NaN swing coefficients; the case parser
+        # rejects it before anything is simulated
         case = tmp_path / "nan.case"
         case.write_text(tiny_case_text().replace("100.0 1.0\nG2", "nan 1.0\nG2"))
         out = tmp_path / "run"
         args = gen_args(str(case), out) + ["--set", "dataset.h_values=[3.0]"]
         assert main(args) == 3
-        assert "simulation failed" in capsys.readouterr().err
+        assert "rated power must be finite" in capsys.readouterr().err
+        assert not (out / "dataset.bin").exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("3 load 30.0", "3 load inf", "bus 3: load must be finite"),
+        ("3 load 30.0", "3 load nan", "bus 3: load must be finite"),
+        ("1 2 1.0", "1 1 1.0", "branch 1-1 is a self-loop"),
+        ("2 3 3.0", "2 3 nan", "susceptance must be finite"),
+        ("2 3 3.0", "2 3 inf", "susceptance must be finite"),
+        (f"G1 1 {J1!r}", "G1 1 nan", "generator G1: J must be finite"),
+        (f"{OMEGA!r} 100.0 1.0\nG2", "inf 100.0 1.0\nG2", "nominal speed must be finite"),
+        ("100.0 1.0\nG2", "inf 1.0\nG2", "rated power must be finite"),
+        ("100.0 1.0\nG2", "100.0 nan\nG2", "generator G1: damping must be finite"),
+    ], ids=["inf-load", "nan-load", "self-loop", "nan-susceptance", "inf-susceptance",
+            "nan-inertia", "inf-speed", "inf-rating", "nan-damping"])
+    def test_case_file_fails_closed(self, tmp_path, capsys, old, new, message):
+        # gen_args sets two H values, where a NaN that got through would first
+        # fail the cross-H network check under a message that does not name it
+        case = tmp_path / "bad.case"
+        text = tiny_case_text()
+        assert text.count(old) == 1
+        case.write_text(text.replace(old, new))
+        out = tmp_path / "run"
+        assert main(gen_args(str(case), out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err
         assert not (out / "dataset.bin").exists()
 
     def test_lockfile_blocks_concurrent_use(self, tiny_case, tmp_path, capsys):
@@ -280,6 +305,23 @@ class TestTrainEval:
         assert rc == 5
         assert "non-finite loss" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_layer_overflow_is_divergence(self, tiny_case, tmp_path, capsys):
+        # the overflow reaches a layer's finiteness check before the loss
+        rc = main([
+            "train",
+            "--out", str(tmp_path / "boom"),
+            "--set", f'case="{tiny_case}"',
+            "--set", "dataset.h_values=[3.0,5.0,7.0]",
+            "--set", "dataset.amplitudes=[0.001,0.002]",
+            "--set", "model.learning_rate=1e300",
+            *TINY_MODEL,
+        ])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "non-finite values entering relu at epoch 1, batch 2" in err
+
 
 class TestInspect:
     def test_dataset_header(self, tiny_case, tmp_path, capsys):
@@ -357,9 +399,9 @@ class TestComparisons:
             "compare-windows", *self.common(tiny_case, out),
             "--set", "train.arch=cnn", "--set", "train.cnn_learning_rate=0.0003",
         ]) == 0
-        report = TrainReport.load(out / "report_window_0.0-1.0.txt")
-        assert report.arch == "cnn"
-        assert report.lr_trace == (0.0003,)
+        lines = (out / "report_window_0.0-1.0.txt").read_text().splitlines()
+        assert "arch cnn" in lines
+        assert lines[lines.index("[END]") - 1].split(",")[-1] == "0.0003"  # epoch 1 lr
 
     def test_select_features_trains_train_arch(self, tiny_case, tmp_path, monkeypatch):
         calls = []
@@ -420,9 +462,7 @@ class TestConfigLayering:
         del model["input_len"]
         assert manifest["config"]["model"] == model
         assert manifest["config"]["dataset"]["probe"] == asdict(ProbingSignal())
-        sim = asdict(SimConfig())
-        del sim["reference"]
-        assert manifest["config"]["dataset"]["sim"] == sim
+        assert manifest["config"]["dataset"]["sim"] == asdict(SimConfig())
 
     def test_config_file_plus_overrides(self, tiny_case, tmp_path):
         cfg_file = tmp_path / "cfg.json"

@@ -1,6 +1,7 @@
 """Probe waveforms, swing integration and the PMU record container."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from inertialab.dynamics import (
     PmuRecordSet,
     ProbingSignal,
     SimConfig,
+    _base_waveform,
     integrate,
-    probe_waveform,
     single_machine_response,
     swing_rhs,
 )
@@ -46,21 +47,16 @@ def two_machine_net(m=(1.0, 1.0), d=(0.1, 0.1), b=2.0):
 class TestProbeWaveform:
     def test_quiescent_before_start(self):
         spec = ProbingSignal(amplitude=0.001, injection_bus=1, start=0.25)
-        assert probe_waveform(spec, 0.1) == 0.0
+        assert spec.amplitude * _base_waveform(spec, 0.1) == 0.0
 
     def test_step_amplitude_inside_window(self):
         spec = ProbingSignal(amplitude=0.001, injection_bus=1, start=0.0, duration=0.5)
-        assert probe_waveform(spec, 0.2) == 0.001
+        assert spec.amplitude * _base_waveform(spec, 0.2) == 0.001
 
     def test_half_open_window(self):
         spec = ProbingSignal(amplitude=0.001, injection_bus=1, start=0.25, duration=0.25)
-        assert probe_waveform(spec, 0.25) == 0.001
-        assert probe_waveform(spec, 0.5) == 0.0
-
-    def test_negative_time(self):
-        spec = ProbingSignal(injection_bus=1)
-        with pytest.raises(ValueError):
-            probe_waveform(spec, -0.1)
+        assert spec.amplitude * _base_waveform(spec, 0.25) == 0.001
+        assert spec.amplitude * _base_waveform(spec, 0.5) == 0.0
 
     def test_prbs_chip_values_and_mean(self):
         spec = ProbingSignal(
@@ -73,7 +69,7 @@ class TestProbeWaveform:
             seed=7,
         )
         times = (np.arange(1500) + 0.5) * 0.02  # chip centers, 1500 chips
-        values = np.array([probe_waveform(spec, t) for t in times])
+        values = np.array([spec.amplitude * _base_waveform(spec, t) for t in times])
         assert set(np.round(np.abs(values), 12)) == {0.002}
         assert abs(values.mean()) < 0.1 * spec.amplitude
 
@@ -83,8 +79,8 @@ class TestProbeWaveform:
         again = ProbingSignal(kind="prbs", amplitude=1.0, injection_bus=1, duration=1.0,
                               prbs_chip=0.1, seed=3)
         ts = np.linspace(0.0, 0.99, 37)
-        assert [probe_waveform(spec, t) for t in ts] == [
-            probe_waveform(again, t) for t in ts
+        assert [spec.amplitude * _base_waveform(spec, t) for t in ts] == [
+            again.amplitude * _base_waveform(again, t) for t in ts
         ]
 
     def test_spec_validation(self):
@@ -204,7 +200,8 @@ class TestIntegrate:
         expected = [
             swing_rhs(
                 [rec.angle[0, j], rec.speed[0, j]], net,
-                [probe_waveform(probe, j * cfg.steps_per_sample / steps_hz)],
+                [probe.amplitude
+                 * _base_waveform(probe, j * cfg.steps_per_sample / steps_hz)],
             )[1]
             for j in range(rec.n_samples)
         ]
@@ -272,6 +269,15 @@ class TestIntegrate:
         with pytest.raises(InstabilityError) as err:
             integrate(net, probe, SimConfig(t_end=1.5))
         assert 0.0 < err.value.time <= 1.5
+
+    def test_nan_inertia_row_is_unstable(self):
+        """A NaN swing coefficient fails the |dw| <= 1 guard at the next sample."""
+        net = replace(two_machine_net(), inertia=np.array([1.0, np.nan]))
+        probe = ProbingSignal(amplitude=0.001, injection_bus=1)
+        cfg = SimConfig()
+        with pytest.raises(InstabilityError) as err:
+            integrate(net, probe, cfg)
+        assert err.value.time == 1.0 / cfg.pmu_rate
 
     def test_monitored_subset(self):
         net = two_machine_net()

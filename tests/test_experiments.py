@@ -13,13 +13,12 @@ from inertialab.experiments import (
     DatasetSpec,
     Metrics,
     SubsetScorer,
-    TrainReport,
     TrainingDivergedError,
+    config_fingerprint,
     default_h_grid,
     desk_amplitude_grid,
     evaluate,
     exhaustive_subset_scores,
-    generate_dataset,
     metrics_from_predictions,
     paper_amplitude_grid,
     predict,
@@ -256,6 +255,20 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(self.small_config(24, batch_size=16), tr, va, epochs=1, seed=0)
 
+    @pytest.mark.parametrize("arch", ["lrcn", "cnn"])
+    def test_input_len_follows_the_data(self, arch):
+        ds = toy_dataset(n=20, length=24)
+        tr, va = split(ds, 0.8, 0)
+        sized = self.small_config(24)
+        model, report = train(self.small_config(3), tr, va, epochs=2, seed=0, arch=arch)
+        want_model, want = train(sized, tr, va, epochs=2, seed=0, arch=arch)
+        assert model.config == sized
+        assert report.config_fingerprint == config_fingerprint(arch, sized, 2, 0)
+        assert (report.val_curve, report.metrics) == (want.val_curve, want.metrics)
+        for name, value in want_model.params.items():
+            assert model.params[name].shape == value.shape, name
+        assert predict(model, va).shape == (len(va),)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_detected(self):
         ds = toy_dataset(n=20, length=24)
@@ -270,12 +283,14 @@ class TestTrainLoop:
         _, report = train(self.small_config(24), tr, va, epochs=3, seed=0)
         path = tmp_path / "report.txt"
         report.save(path)
-        back = TrainReport.load(path)
-        assert back.train_curve == pytest.approx(report.train_curve)
-        assert back.val_curve == pytest.approx(report.val_curve)
-        assert back.metrics.mse == pytest.approx(report.metrics.mse)
-        assert back.best_epoch == report.best_epoch
-        assert back.config_fingerprint == report.config_fingerprint
+        lines = path.read_text().splitlines()
+        head = dict(ln.split(" ", 1) for ln in lines[1 : lines.index("[CURVES]")])
+        rows = [ln.split(",") for ln in lines[lines.index("[CURVES]") + 2 : -1]]
+        assert tuple(float(r[1]) for r in rows) == report.train_curve
+        assert tuple(float(r[2]) for r in rows) == report.val_curve
+        assert float(head["final_mse"]) == report.metrics.mse
+        assert int(head["best_epoch"]) == report.best_epoch
+        assert head["config_fingerprint"] == report.config_fingerprint
 
 
 class TestDatasetGeneration:
@@ -292,27 +307,27 @@ class TestDatasetGeneration:
         return DatasetSpec(**base)
 
     def test_single_cell(self):
-        ds = generate_dataset(tiny_grid(), self.spec())
+        ds = DatasetBuilder(tiny_grid(), self.spec()).build()
         assert len(ds) == 1
         assert ds.labels[0] == 3.5
         assert ds.tensor_length == 200 * 2 * 2
 
     def test_grid_product_count(self):
-        ds = generate_dataset(tiny_grid(), self.spec(h_values=(3.0, 4.0, 5.0),
-                                                     amplitudes=(0.001, 0.002)))
+        spec = self.spec(h_values=(3.0, 4.0, 5.0), amplitudes=(0.001, 0.002))
+        ds = DatasetBuilder(tiny_grid(), spec).build()
         assert len(ds) == 6
         assert sorted(set(ds.labels.tolist())) == [3.0, 4.0, 5.0]
 
     def test_normalized_range(self):
-        ds = generate_dataset(tiny_grid(), self.spec(h_values=(3.0, 6.0),
-                                                     amplitudes=(0.001, 0.005)))
+        spec = self.spec(h_values=(3.0, 6.0), amplitudes=(0.001, 0.005))
+        ds = DatasetBuilder(tiny_grid(), spec).build()
         assert ds.tensors.min() == 0.0
         assert ds.tensors.max() == 1.0
 
     def test_regeneration_is_byte_identical(self):
         spec = self.spec(h_values=(3.0, 4.5), amplitudes=(0.001, 0.003))
-        a = generate_dataset(tiny_grid(), spec).to_bytes()
-        b = generate_dataset(tiny_grid(), spec).to_bytes()
+        a = DatasetBuilder(tiny_grid(), spec).build().to_bytes()
+        b = DatasetBuilder(tiny_grid(), spec).build().to_bytes()
         assert a == b
 
     def test_windows_share_clean_records(self):
@@ -332,16 +347,12 @@ class TestDatasetGeneration:
         builder.build(snr_db=45.0)
         assert builder.clean_fingerprint() == fp_before
 
-    def test_amplitudes_recorded(self):
-        ds = generate_dataset(tiny_grid(), self.spec(amplitudes=(0.001, 0.002)))
-        np.testing.assert_allclose(sorted(ds.amplitudes), [0.001, 0.002])
-
     def test_instability_aborts_with_cell_index(self):
         from inertialab.experiments import GenerationError
 
         spec = self.spec(h_values=(3.0,), amplitudes=(0.001, 50.0))
         with pytest.raises(GenerationError) as err:
-            generate_dataset(tiny_grid(), spec)
+            DatasetBuilder(tiny_grid(), spec).build()
         assert err.value.h_index == 0
         assert err.value.amp_index == 1
 
@@ -352,7 +363,7 @@ class TestDatasetGeneration:
         # (index 1) while H = 8.0 (index 0) stays below 1 p.u.
         spec = self.spec(h_values=(8.0, 3.0), amplitudes=(0.001, 10.0))
         with pytest.raises(GenerationError) as err:
-            generate_dataset(tiny_grid(), spec)
+            DatasetBuilder(tiny_grid(), spec).build()
         assert (err.value.h_index, err.value.amp_index) == (1, 1)
 
     def test_networks_differing_beyond_inertia_rejected(self, monkeypatch):

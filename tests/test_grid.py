@@ -126,9 +126,9 @@ class TestSystemInertia:
         base = 100.0 * len(gens)
         direct = system_inertia_constant(gens, base)
         # summing per-subset stored energies then dividing by the base
-        energy = sum(g.stored_energy for g in gens[:cut]) + sum(
-            g.stored_energy for g in gens[cut:]
-        )
+        energy = sum(
+            rotational_energy(g.moment_of_inertia, g.nominal_speed) for g in gens[:cut]
+        ) + sum(rotational_energy(g.moment_of_inertia, g.nominal_speed) for g in gens[cut:])
         assert direct == pytest.approx(energy / base, rel=1e-12)
 
 

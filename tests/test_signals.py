@@ -1,6 +1,7 @@
 """Resampling, noise calibration, windowing, normalization, tensor layout."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -19,10 +20,14 @@ from inertialab.signals import (
     compute_normalization,
     extract_window,
     measured_snr,
-    minmax_normalize,
     replace_with_noise,
     resample,
 )
+
+
+def normalize(batch, n_channels):
+    """Scale ``batch`` by its own channel extrema."""
+    return apply_normalization(batch, compute_normalization(batch, n_channels))
 
 
 def make_record(n_buses=2, n_samples=300, rate=200.0, seed=0, h_sys=4.0):
@@ -250,7 +255,7 @@ class TestNormalization:
     def test_unit_range_per_channel(self):
         rng = np.random.default_rng(0)
         batch = rng.normal(size=(16, 3 * 5))
-        normalized, _ = minmax_normalize(batch, n_channels=3)
+        normalized = normalize(batch, n_channels=3)
         view = normalized.reshape(16, 3, 5)
         for c in range(3):
             assert view[:, c, :].min() == 0.0
@@ -258,18 +263,18 @@ class TestNormalization:
 
     def test_constant_channel_maps_to_zero(self):
         batch = np.ones((4, 6))
-        normalized, _ = minmax_normalize(batch, n_channels=2)
+        normalized = normalize(batch, n_channels=2)
         np.testing.assert_array_equal(normalized, 0.0)
 
     def test_two_point_channel(self):
         batch = np.array([[2.0], [4.0]])
-        normalized, _ = minmax_normalize(batch, n_channels=1)
+        normalized = normalize(batch, n_channels=1)
         np.testing.assert_array_equal(normalized.ravel(), [0.0, 1.0])
 
     def test_idempotent_with_own_stats(self):
         rng = np.random.default_rng(1)
         batch = rng.normal(size=(8, 12))
-        normalized, _ = minmax_normalize(batch, n_channels=4)
+        normalized = normalize(batch, n_channels=4)
         stats2 = compute_normalization(normalized, 4)
         again = apply_normalization(normalized, stats2)
         np.testing.assert_allclose(again, normalized, rtol=0, atol=1e-15)
@@ -285,8 +290,8 @@ class TestNormalization:
     @settings(max_examples=20, deadline=None)
     def test_deterministic(self, seed):
         batch = np.random.default_rng(seed).normal(size=(5, 6))
-        a, _ = minmax_normalize(batch, 2)
-        b, _ = minmax_normalize(batch.copy(), 2)
+        a = normalize(batch, 2)
+        b = normalize(batch.copy(), 2)
         np.testing.assert_array_equal(a, b)
 
     def test_empty_batch_rejected(self):
@@ -298,7 +303,8 @@ class TestDatasetContainer:
     def make_dataset(self, n=6, length=8):
         rng = np.random.default_rng(3)
         raw = rng.normal(size=(n, length))
-        tensors, stats = minmax_normalize(raw, n_channels=2)
+        stats = compute_normalization(raw, n_channels=2)
+        tensors = apply_normalization(raw, stats)
         return Dataset(
             tensors=tensors.astype(np.float32).astype(np.float64),
             labels=rng.uniform(3.0, 8.0, n),
@@ -320,6 +326,35 @@ class TestDatasetContainer:
         assert back.window == ds.window
         assert back.snr_db == ds.snr_db
         np.testing.assert_array_equal(back.stats.minima, ds.stats.minima)
+
+    def test_layout_matches_hand_packed_blob(self):
+        """The writer and reader follow the documented layout field by field."""
+        ds = Dataset(
+            tensors=np.array([[0.25, 0.5, 1.0, 0.0], [0.0, 0.75, 0.125, 1.0]]),
+            labels=np.array([3.5, 7.0]),
+            features=FeatureSet(["rocof"]),
+            window=(0.5, 1.5),
+            snr_db=45.0,
+            n_buses=2,
+            stats=NormalizationStats(minima=np.array([-1.0, -2.0]),
+                                     maxima=np.array([2.0, 4.0])),
+        )
+        blob = b"".join([
+            b"INRDSET1",
+            struct.pack("<QQIIdddQ", 2, 4, 0b010, 2, 0.5, 1.5, 45.0, 2),
+            struct.pack("<2d", -1.0, -2.0),
+            struct.pack("<2d", 2.0, 4.0),
+            struct.pack("<d4f", 3.5, 0.25, 0.5, 1.0, 0.0),
+            struct.pack("<d4f", 7.0, 0.0, 0.75, 0.125, 1.0),
+        ])
+        assert ds.to_bytes() == blob
+        back = Dataset.from_bytes(blob)
+        assert back.tensors.tobytes() == ds.tensors.tobytes()
+        assert back.labels.tobytes() == ds.labels.tobytes()
+        assert back.tensors.flags.c_contiguous and back.labels.flags.c_contiguous
+        assert (back.features, back.window, back.snr_db, back.n_buses) == (
+            ds.features, ds.window, ds.snr_db, ds.n_buses)
+        np.testing.assert_array_equal(back.stats.maxima, ds.stats.maxima)
 
     def test_bytes_deterministic(self):
         assert self.make_dataset().to_bytes() == self.make_dataset().to_bytes()
