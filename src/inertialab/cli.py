@@ -3,11 +3,12 @@
 Subcommands: ``gen-data``, ``train``, ``eval``, ``select-features``,
 ``compare-windows``, ``compare-models``, ``compare-snr``, ``inspect``.
 Configuration is layered: profile defaults, then an optional JSON config
-file, then repeatable ``--set key=value`` overrides.  The ``dataset`` and
-``model`` defaults are the field defaults of ``DatasetSpec`` and
-``LrcnConfig``; a profile changes only a few of them.  The config file and
-``--set`` pass one check: every key must exist, a group takes a JSON
-object and any other key a value of its default's JSON kind.  The fully
+file, then repeatable ``--set key=value`` overrides.  The ``dataset``,
+``model`` and ``train`` defaults are the field defaults of ``DatasetSpec``,
+``LrcnConfig`` and ``TrainPlan``; a profile changes only a few of them.
+The config file and ``--set`` pass one check: every key must exist, a
+group takes a JSON object and any other key a value of its default's JSON
+kind.  The fully
 resolved configuration is echoed into the run manifest.  Exit codes:
 0 success, 2 I/O failure, 3 validation failure, 4 checkpoint/config
 mismatch, 5 training divergence.
@@ -28,22 +29,18 @@ from pathlib import Path
 from . import plots
 from .dynamics import PMU_RECORD_MAGIC, PmuRecordSet, ProbingSignal, SimConfig
 from .experiments import (
-    CNN_BASELINE_LR,
     DatasetBuilder,
     DatasetSpec,
     GenerationError,
     SubsetScorer,
     TrainingDivergedError,
-    compare_models,
-    compare_time_windows,
-    configs_by_arch,
+    TrainPlan,
     desk_amplitude_grid,
     metrics_from_predictions,
     predict,
     sha256_hex,
-    snr_robustness_study,
     split,
-    train,
+    train_arms,
     wrapper_feature_selection,
 )
 from .grid import load_case, load_default_case
@@ -79,6 +76,9 @@ _PROFILE_DELTAS = {
 
 _METRIC_COLUMNS = ("accuracy", "r2", "mse")
 
+# The two feature windows the window study compares, in seconds.
+_WINDOWS = ((0.0, 1.0), (0.5, 1.5))
+
 
 class CheckpointMismatchError(RuntimeError):
     """Model checkpoint is incompatible with the supplied data or config."""
@@ -111,15 +111,7 @@ def _profile_defaults(profile):
             "sim": _group(spec.sim),
         },
         "model": {**_group(LrcnConfig()), "seed": None},
-        "train": {
-            "epochs": 200,
-            "arch": "lrcn",
-            "train_fraction": 0.8,
-            "split_seed": None,
-            "train_seed": None,
-            "snr_levels": [60.0, 45.0],
-            "cnn_learning_rate": CNN_BASELINE_LR,
-        },
+        "train": {**_group(TrainPlan()), "split_seed": None, "train_seed": None},
         "paths": {"dataset": None, "model": None},
     }
     for group, values in _PROFILE_DELTAS[profile].items():
@@ -207,15 +199,6 @@ def _build_spec(cfg):
     )
 
 
-def _model_configs(cfg, archs=("lrcn", "cnn")):
-    """Model config per architecture; the flatten baseline has its own rate.
-
-    ``train`` sets ``input_len`` from the data each config is trained on.
-    """
-    config = LrcnConfig(**cfg["model"])
-    return configs_by_arch(config, archs, cfg["train"]["cnn_learning_rate"])
-
-
 def run_fingerprint(cfg):
     """Digest of the semantic configuration (artifact location excluded)."""
     semantic = {k: v for k, v in cfg.items() if k != "out"}
@@ -224,12 +207,6 @@ def run_fingerprint(cfg):
 
 def _stamp(cfg):
     return f"config_fingerprint {run_fingerprint(cfg)}"
-
-
-def _training_keys(cfg):
-    """Training settings every study takes as keyword arguments."""
-    t = cfg["train"]
-    return {key: t[key] for key in ("epochs", "split_seed", "train_seed", "train_fraction")}
 
 
 @contextlib.contextmanager
@@ -270,7 +247,7 @@ def _load_or_generate_dataset(cfg, grid, spec, out):
     return dataset
 
 
-def _gen_data(out, cfg, grid, spec):
+def _gen_data(out, cfg, grid, spec, plan):
     dataset = DatasetBuilder(grid, spec).build()
     blob = dataset.to_bytes()
     (out / "dataset.bin").write_bytes(blob)
@@ -293,15 +270,9 @@ def _write_evaluation(out, stamp, arch, labels, predictions, metrics):
     )
 
 
-def _train(out, cfg, grid, spec):
+def _train(out, cfg, grid, spec, plan):
     dataset = _load_or_generate_dataset(cfg, grid, spec, out)
-    t = cfg["train"]
-    arch = t["arch"]
-    config = _model_configs(cfg, (arch,))[arch]
-    train_set, val_set = split(dataset, t["train_fraction"], t["split_seed"])
-    model, report = train(
-        config, train_set, val_set, epochs=t["epochs"], seed=t["train_seed"], arch=arch
-    )
+    model, report, val_set = plan.fit(LrcnConfig(**cfg["model"]), dataset)
     model.save(out / "model.bin")
     stamp = _stamp(cfg)
     report.save(out / "report.txt")
@@ -312,7 +283,7 @@ def _train(out, cfg, grid, spec):
         title="MSE loss vs epoch", xlabel="epoch", ylabel="mse", comment=stamp,
     )
     _write_evaluation(
-        out, stamp, arch, val_set.labels, predict(model, val_set), report.metrics
+        out, stamp, plan.arch, val_set.labels, predict(model, val_set), report.metrics
     )
     metrics = vars(report.metrics)
     return (
@@ -321,7 +292,7 @@ def _train(out, cfg, grid, spec):
     )
 
 
-def _eval(out, cfg, grid, spec):
+def _eval(out, cfg, grid, spec, plan):
     model_path = cfg["paths"]["model"]
     if not model_path:
         raise ValueError("eval requires a model checkpoint (--model or paths.model)")
@@ -332,7 +303,7 @@ def _eval(out, cfg, grid, spec):
             f"checkpoint expects input length {model.config.input_len}, "
             f"dataset provides {dataset.tensor_length}"
         )
-    _, val_set = split(dataset, cfg["train"]["train_fraction"], cfg["train"]["split_seed"])
+    _, val_set = split(dataset, plan.train_fraction, plan.split_seed)
     predictions = predict(model, val_set)
     metrics = metrics_from_predictions(val_set.labels, predictions)
     _write_evaluation(out, _stamp(cfg), model.arch, val_set.labels, predictions, metrics)
@@ -355,11 +326,8 @@ def _write_arms(out, stamp, name, column, arms, report_prefix, title):
     )
 
 
-def _select_features(out, cfg, grid, spec):
-    arch = cfg["train"]["arch"]
-    config = _model_configs(cfg, (arch,))[arch]
-    scorer = SubsetScorer(DatasetBuilder(grid, spec), config, arch=arch,
-                          **_training_keys(cfg))
+def _select_features(out, cfg, grid, spec, plan):
+    scorer = SubsetScorer(DatasetBuilder(grid, spec), LrcnConfig(**cfg["model"]), plan)
     result = wrapper_feature_selection(scorer)
     stamp = _stamp(cfg)
     rows = [
@@ -383,36 +351,39 @@ def _select_features(out, cfg, grid, spec):
     return {"selected": list(names)}, {"selected": "+".join(names)}
 
 
-def _compare_windows(out, cfg, grid, spec):
-    arch = cfg["train"]["arch"]
-    config = _model_configs(cfg, (arch,))[arch]
-    result = compare_time_windows(grid, spec, config, arch=arch, **_training_keys(cfg))
-    arms = {f"{w[0]}-{w[1]}": r for w, r in result.reports.items()}
+def _compare_windows(out, cfg, grid, spec, plan):
+    builder = DatasetBuilder(grid, spec)
+    datasets = ((f"{w[0]}-{w[1]}", builder.build(window=w)) for w in _WINDOWS)
+    arms = {label: r for label, _, r in
+            train_arms(plan, LrcnConfig(**cfg["model"]), datasets, (plan.arch,))}
     _write_arms(out, _stamp(cfg), "window_comparison", "window", arms, "report_window_",
                 "validation MSE by feature window")
     acc10 = {label: r.metrics.acc10 for label, r in arms.items()}
-    return {"clean_fingerprint": result.clean_fingerprint}, {"acc10": acc10}
+    return {"clean_fingerprint": builder.clean_fingerprint()}, {"acc10": acc10}
 
 
-def _compare_models(out, cfg, grid, spec):
-    configs = _model_configs(cfg)
-    result = compare_models(grid, spec, configs, **_training_keys(cfg))
-    _write_arms(out, _stamp(cfg), "model_comparison", "model", result.reports, "report_",
+def _compare_models(out, cfg, grid, spec, plan):
+    dataset = DatasetBuilder(grid, spec).build()
+    fingerprint = sha256_hex(dataset.to_bytes())
+    arms = {arch: r for _, arch, r in
+            train_arms(plan, LrcnConfig(**cfg["model"]), [("", dataset)], ("lrcn", "cnn"))}
+    _write_arms(out, _stamp(cfg), "model_comparison", "model", arms, "report_",
                 "validation MSE by architecture")
-    r2 = {arch: r.metrics.r2 for arch, r in result.reports.items()}
-    return {"dataset_fingerprint": result.dataset_fingerprint}, {"r2": r2}
+    r2 = {arch: r.metrics.r2 for arch, r in arms.items()}
+    return {"dataset_fingerprint": fingerprint}, {"r2": r2}
 
 
-def _compare_snr(out, cfg, grid, spec):
-    configs = _model_configs(cfg)
-    study = snr_robustness_study(
-        grid, spec, configs, snr_levels=cfg["train"]["snr_levels"], **_training_keys(cfg)
-    )
-    rows = [(snr, arch, *_cells(m)) for snr, arch, m, _ in study.rows]
+def _compare_snr(out, cfg, grid, spec, plan):
+    if not plan.snr_levels:
+        raise ValueError("need at least one SNR level")
+    builder = DatasetBuilder(grid, spec)
+    datasets = ((snr, builder.build(snr_db=snr)) for snr in plan.snr_levels)
+    rows = [(snr, arch, *_cells(r.metrics)) for snr, arch, r in
+            train_arms(plan, LrcnConfig(**cfg["model"]), datasets, ("lrcn", "cnn"))]
     plots.write_csv(out / "snr_comparison.csv", ("snr_db", "model", *_METRIC_COLUMNS),
                     rows, comment=_stamp(cfg))
     acc10 = [[snr, arch, acc10] for snr, arch, acc10, _, _ in rows]
-    return {"clean_fingerprint": study.clean_fingerprint}, {"rows": acc10}
+    return {"clean_fingerprint": builder.clean_fingerprint()}, {"rows": acc10}
 
 
 # Artifact-writing commands: each writes its files into the output directory
@@ -431,7 +402,8 @@ _COMMANDS = {
 def run_command(cfg, command):
     """Run one command under the output lock; write its manifest and summary."""
     with _output_dir(cfg) as out:
-        extra, summary = _COMMANDS[command](out, cfg, _build_grid(cfg), _build_spec(cfg))
+        extra, summary = _COMMANDS[command](
+            out, cfg, _build_grid(cfg), _build_spec(cfg), TrainPlan(**cfg["train"]))
         manifest = {"config": cfg, "config_fingerprint": run_fingerprint(cfg),
                     "command": command, **extra}
         text = json.dumps(manifest, indent=2, sort_keys=True)

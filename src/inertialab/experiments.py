@@ -54,24 +54,19 @@ __all__ = [
     "DatasetBuilder",
     "SubsetScorer",
     "SelectionResult",
-    "WindowComparison",
-    "ModelComparison",
-    "SnrStudy",
+    "TrainPlan",
     "CNN_BASELINE_LR",
-    "configs_by_arch",
     "default_h_grid",
     "paper_amplitude_grid",
     "desk_amplitude_grid",
     "split",
     "train",
+    "train_arms",
     "predict",
     "evaluate",
     "metrics_from_predictions",
     "wrapper_feature_selection",
     "exhaustive_subset_scores",
-    "compare_time_windows",
-    "compare_models",
-    "snr_robustness_study",
     "sha256_hex",
     "config_fingerprint",
 ]
@@ -141,6 +136,8 @@ class DatasetSpec:
                 raise ValueError(f"{name} must not be empty")
         if not all(0 <= a < math.inf for a in self.amplitudes):  # NaN fails too
             raise ValueError(f"amplitudes must be finite and >= 0, got {list(self.amplitudes)}")
+        if not -math.inf < self.snr_db <= math.inf:  # +inf turns noise off; NaN fails
+            raise ValueError(f"snr_db must be a number or +inf, got {self.snr_db}")
 
     @property
     def n_samples(self):
@@ -419,6 +416,9 @@ class TrainReport:
             fh.write("\n".join(lines) + "\n")
 
 
+# Overflow is caught where it matters: check_finite and the loss test turn any
+# non-finite value into TrainingDivergedError, so numpy's warnings are noise.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(config, train_set, val_set, epochs, seed=0, arch="lrcn"):
     """Gradient-descent training with the plateau schedule.
 
@@ -498,38 +498,85 @@ def train(config, train_set, val_set, epochs, seed=0, arch="lrcn"):
     return model, report
 
 
+# Plain descent on the flatten baseline is only stable at a rate roughly
+# inversely proportional to its 79,960-wide head input; the recurrent model
+# tolerates (and needs) a much larger one, so each architecture trains at
+# its own stable default.
+CNN_BASELINE_LR = 1e-4
+
+
+@dataclass(frozen=True)
+class TrainPlan:
+    """How every training run splits its data and trains.
+
+    ``arch`` is the architecture trained when no other is named;
+    ``cnn_learning_rate`` replaces the model config's rate whenever the
+    flatten baseline trains.  ``snr_levels`` are the noise levels a
+    robustness study compares; each is a number or ``+inf`` (no noise).
+    """
+
+    epochs: int = 200
+    arch: str = "lrcn"
+    train_fraction: float = 0.8
+    split_seed: int = 0
+    train_seed: int = 0
+    snr_levels: tuple = (60.0, 45.0)
+    cnn_learning_rate: float = CNN_BASELINE_LR
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        object.__setattr__(self, "snr_levels", tuple(float(s) for s in self.snr_levels))
+        if not all(-math.inf < s <= math.inf for s in self.snr_levels):  # NaN fails
+            raise ValueError(f"snr_levels must be numbers or +inf, got {list(self.snr_levels)}")
+
+    def fit(self, config, dataset, arch=None):
+        """Split ``dataset`` and train ``arch`` (the plan's by default) on it.
+
+        Returns the model, its :class:`TrainReport` and the validation split.
+        """
+        arch = arch or self.arch
+        if arch == "cnn":
+            config = replace(config, learning_rate=self.cnn_learning_rate)
+        train_set, val_set = split(dataset, self.train_fraction, self.split_seed)
+        model, report = train(config, train_set, val_set, self.epochs, self.train_seed, arch)
+        return model, report, val_set
+
+
+def train_arms(plan, config, arms, archs):
+    """``(label, arch, report)`` for each architecture fitted on each arm.
+
+    ``arms`` yields ``(label, dataset)`` pairs; a generator keeps one
+    arm's dataset alive at a time.
+    """
+    return [(label, arch, plan.fit(config, dataset, arch)[1])
+            for label, dataset in arms for arch in archs]
+
+
 # -- wrapper feature selection ------------------------------------------
 
 
 class SubsetScorer:
-    """Memoized validation score of a feature subset under fixed seeds.
+    """Memoized validation score of a feature subset under one training plan.
 
-    Each subset's dataset is built by ``builder``, split, and trains an
-    ``arch`` model at ``config`` for ``epochs``; the score is its acc10.
+    Each subset's dataset is built by ``builder`` and fitted by ``plan`` at
+    ``config``; the score is its acc10.  ``memo`` maps every scored
+    ``(subset, snr_db, window)`` key to its score.
     """
 
-    def __init__(self, builder, config, epochs, split_seed=0, train_seed=0,
-                 train_fraction=0.8, arch="lrcn"):
+    def __init__(self, builder, config, plan):
         self.builder = builder
         self.config = config
-        self.epochs = epochs
-        self.split_seed = split_seed
-        self.train_seed = train_seed
-        self.train_fraction = train_fraction
-        self.arch = arch
-        self._memo = {}
+        self.plan = plan
+        self.memo = {}
 
     def score(self, subset, snr_db=None, window=None):
         key = (frozenset(subset), snr_db, window)
-        if key not in self._memo:
+        if key not in self.memo:
             features = FeatureSet(subset)
             dataset = self.builder.build(features=features, snr_db=snr_db, window=window)
-            train_set, val_set = split(dataset, self.train_fraction, self.split_seed)
-            _, report = train(
-                self.config, train_set, val_set, self.epochs, self.train_seed, self.arch
-            )
-            self._memo[key] = report.metrics.acc10
-        return self._memo[key]
+            self.memo[key] = self.plan.fit(self.config, dataset)[1].metrics.acc10
+        return self.memo[key]
 
 
 @dataclass
@@ -575,7 +622,7 @@ def wrapper_feature_selection(scorer, candidates=None, snr_db=None, window=None)
     return SelectionResult(
         selected=FeatureSet(current),
         rounds=tuple(rounds),
-        scores={key[0]: val for key, val in scorer._memo.items()},
+        scores={key[0]: val for key, val in scorer.memo.items()},
     )
 
 
@@ -587,87 +634,3 @@ def exhaustive_subset_scores(scorer, candidates=None, snr_db=None, window=None):
         for combo in itertools.combinations(candidates, size):
             out[frozenset(combo)] = scorer.score(combo, snr_db, window)
     return out
-
-
-# -- comparative studies --------------------------------------------------
-
-@dataclass
-class WindowComparison:
-    reports: dict  # window tuple -> TrainReport
-    clean_fingerprint: str
-
-
-@dataclass
-class ModelComparison:
-    reports: dict  # arch -> TrainReport
-    dataset_fingerprint: str
-
-
-@dataclass
-class SnrStudy:
-    rows: tuple  # (snr_db, arch, Metrics, dataset fingerprint)
-    clean_fingerprint: str
-
-
-def compare_time_windows(grid, spec, config, epochs, split_seed=0, train_seed=0,
-                         arch="lrcn", windows=((0.0, 1.0), (0.5, 1.5)),
-                         train_fraction=0.8):
-    """Train identical models on two feature windows of the same records."""
-    builder = DatasetBuilder(grid, spec)
-    reports = {}
-    for window in windows:
-        dataset = builder.build(window=window)
-        train_set, val_set = split(dataset, train_fraction, split_seed)
-        _, report = train(config, train_set, val_set, epochs, train_seed, arch)
-        reports[tuple(window)] = report
-    return WindowComparison(reports=reports, clean_fingerprint=builder.clean_fingerprint())
-
-
-# Plain descent on the flatten baseline is only stable at a rate roughly
-# inversely proportional to its 79,960-wide head input; the recurrent model
-# tolerates (and needs) a much larger one, so comparisons train each
-# architecture at its own stable default.
-CNN_BASELINE_LR = 1e-4
-
-
-def configs_by_arch(config, archs=("lrcn", "cnn"), cnn_learning_rate=CNN_BASELINE_LR):
-    """Per-architecture training configs sharing everything but the rate."""
-    out = {}
-    for arch in archs:
-        if arch == "cnn":
-            out[arch] = replace(config, learning_rate=cnn_learning_rate)
-        else:
-            out[arch] = config
-    return out
-
-
-def compare_models(grid, spec, configs, epochs, split_seed=0, train_seed=0,
-                   train_fraction=0.8):
-    """Train each architecture of ``configs`` (arch -> config) on one dataset."""
-    dataset = DatasetBuilder(grid, spec).build()
-    fingerprint = sha256_hex(dataset.to_bytes())
-    train_set, val_set = split(dataset, train_fraction, split_seed)
-    reports = {}
-    for arch, config in configs.items():
-        _, reports[arch] = train(config, train_set, val_set, epochs, train_seed, arch)
-    return ModelComparison(reports=reports, dataset_fingerprint=fingerprint)
-
-
-def snr_robustness_study(grid, spec, configs, epochs, snr_levels=(60.0, 45.0),
-                         split_seed=0, train_seed=0, train_fraction=0.8):
-    """Measure degradation under noise, reusing one set of clean records.
-
-    ``configs`` maps each architecture to train at every level to its config.
-    """
-    if not snr_levels:
-        raise ValueError("need at least one SNR level")
-    builder = DatasetBuilder(grid, spec)
-    rows = []
-    for snr_db in snr_levels:
-        dataset = builder.build(snr_db=snr_db)
-        fingerprint = sha256_hex(dataset.to_bytes())
-        train_set, val_set = split(dataset, train_fraction, split_seed)
-        for arch, config in configs.items():
-            _, report = train(config, train_set, val_set, epochs, train_seed, arch)
-            rows.append((float(snr_db), arch, report.metrics, fingerprint))
-    return SnrStudy(rows=tuple(rows), clean_fingerprint=builder.clean_fingerprint())

@@ -366,6 +366,8 @@ class Dataset:
         maxima = np.frombuffer(blob, dtype="<f8", count=n_chan, offset=off).copy()
         off += 8 * n_chan
         records = np.frombuffer(blob, dtype=_record_dtype(length), count=n, offset=off)
+        if not (np.isfinite(records["row"]).all() and np.isfinite(records["label"]).all()):
+            raise ValueError("dataset holds non-finite tensor values or labels")
         return cls(
             tensors=records["row"].astype(np.float64),
             labels=records["label"].copy(),

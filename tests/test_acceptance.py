@@ -17,6 +17,7 @@ from inertialab.experiments import (
     DatasetBuilder,
     DatasetSpec,
     SubsetScorer,
+    TrainPlan,
     desk_amplitude_grid,
     exhaustive_subset_scores,
     metrics_from_predictions,
@@ -305,7 +306,7 @@ def test_criterion_09_feature_selection_oracle(grid):
         grid, spec, transform=lambda rec: replace_with_noise(rec, "angle", seed=rec.seed)
     )
     config = LrcnConfig(input_len=4000, sequence_stride=8, seed=0)
-    scorer = SubsetScorer(builder, config, epochs=20, split_seed=0, train_seed=0)
+    scorer = SubsetScorer(builder, config, TrainPlan(epochs=20))
     result = wrapper_feature_selection(scorer)
     everything = exhaustive_subset_scores(scorer)
 

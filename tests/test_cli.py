@@ -2,14 +2,18 @@
 
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from inertialab import experiments
-from inertialab.cli import main
+from inertialab.cli import _profile_defaults, build_parser, main, resolve_config, run_fingerprint
 from inertialab.dynamics import PmuRecordSet, ProbingSignal, SimConfig
 from inertialab.nn.model import LrcnConfig, make_model
 from inertialab.signals import Dataset, FeatureSet, NormalizationStats
@@ -144,6 +148,11 @@ class TestGenData:
         ("dataset.amplitudes=[-0.001]", "amplitudes"),
         ("dataset.amplitudes=[]", "amplitudes"),
         ("dataset.h_values=[]", "h_values"),
+        ("dataset.snr_db=NaN", "snr_db"),
+        ("dataset.snr_db=-Infinity", "snr_db"),
+        ("train.snr_levels=[NaN]", "snr_levels"),
+        ("train.snr_levels=[60.0,-Infinity]", "snr_levels"),
+        ("train.epochs=-1", "epochs"),
     ])
     def test_bad_grid_exit_code(self, tiny_case, tmp_path, capsys, assignment, key):
         out = tmp_path / "run"
@@ -288,6 +297,43 @@ class TestTrainEval:
             assert rc == 3, blob
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("where", ["tensors", "labels"])
+    def test_non_finite_dataset_exit_code(self, tiny_case, tmp_path, capsys, where):
+        data = tmp_path / "data"
+        assert main(gen_args(tiny_case, data)) == 0
+        path = data / "dataset.bin"
+        dataset = Dataset.load(path)
+        getattr(dataset, where)[0] = np.nan
+        dataset.save(path)
+        capsys.readouterr()
+        for epochs in ("1", "0"):  # with no epoch, nothing downstream would notice
+            rc = main(["train", "--out", str(tmp_path / "run"), "--data", str(path),
+                       "--set", f'case="{tiny_case}"', "--set", f"train.epochs={epochs}",
+                       "--set", "model.batch_size=2"])
+            assert rc == 3
+            err = capsys.readouterr().err
+            assert err == "error: dataset holds non-finite tensor values or labels\n", err
+        assert not (tmp_path / "run" / "model.bin").exists()
+
+    def test_overflow_is_one_error_line_as_a_command(self, tiny_case, tmp_path):
+        # pytest captures warnings in-process; a child interpreter shows what
+        # a user sees on stderr
+        src = str(Path(experiments.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([
+            sys.executable, "-m", "inertialab.cli", "train",
+            "--out", str(tmp_path / "boom"),
+            "--set", f'case="{tiny_case}"',
+            "--set", "dataset.h_values=[3.0,5.0,7.0]",
+            "--set", "dataset.amplitudes=[0.001,0.002]",
+            "--set", "model.learning_rate=1e300",
+            *TINY_MODEL,
+        ], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 5
+        assert proc.stderr == (
+            "error: non-finite values entering relu at epoch 1, batch 2\n"), proc.stderr
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, tiny_case, tmp_path, capsys):
@@ -463,6 +509,19 @@ class TestConfigLayering:
         assert manifest["config"]["model"] == model
         assert manifest["config"]["dataset"]["probe"] == asdict(ProbingSignal())
         assert manifest["config"]["dataset"]["sim"] == asdict(SimConfig())
+        # the TrainPlan defaults, bar the desk epochs; null seeds take the run seed
+        plan = {**asdict(experiments.TrainPlan()), "snr_levels": [60.0, 45.0], "epochs": 60}
+        assert manifest["config"]["train"] == plan
+        assert _profile_defaults("desk")["train"] == {
+            **plan, "split_seed": None, "train_seed": None}
+        # any drift in a default of any group moves these
+        fingerprints = {
+            "desk": "321366e82f1ca0ea08cce7e457c2317f3721c1de5931130962ce85cad10945cc",
+            "paper": "fdd083665edb29d75d2cced58fdb0174e4e0641eddd811f4d4a178849eb507cb",
+        }
+        for profile, fingerprint in fingerprints.items():
+            args = build_parser().parse_args(["gen-data", "--profile", profile])
+            assert run_fingerprint(resolve_config(args)) == fingerprint, profile
 
     def test_config_file_plus_overrides(self, tiny_case, tmp_path):
         cfg_file = tmp_path / "cfg.json"

@@ -14,6 +14,7 @@ from inertialab.experiments import (
     Metrics,
     SubsetScorer,
     TrainingDivergedError,
+    TrainPlan,
     config_fingerprint,
     default_h_grid,
     desk_amplitude_grid,
@@ -85,10 +86,25 @@ class TestGrids:
         (dict(amplitudes=(float("inf"),)), "amplitudes"),
         (dict(amplitudes=()), "amplitudes"),
         (dict(h_values=()), "h_values"),
+        (dict(snr_db=float("nan")), "snr_db"),
+        (dict(snr_db=-math.inf), "snr_db"),
     ])
     def test_spec_rejects_bad_grids(self, kw, key):
         with pytest.raises(ValueError, match=key):
             DatasetSpec(**kw)
+
+    @pytest.mark.parametrize("kw, key", [
+        (dict(snr_levels=(60.0, float("nan"))), "snr_levels"),
+        (dict(snr_levels=(60.0, -math.inf)), "snr_levels"),
+        (dict(epochs=-1), "epochs"),
+    ])
+    def test_plan_rejects_bad_fields(self, kw, key):
+        with pytest.raises(ValueError, match=key):
+            TrainPlan(**kw)
+
+    def test_infinite_snr_means_no_noise(self):
+        assert DatasetSpec(snr_db=math.inf).snr_db == math.inf
+        assert TrainPlan(snr_levels=[math.inf, 45]).snr_levels == (math.inf, 45.0)
 
 
 class TestSplit:
@@ -432,13 +448,13 @@ class TestFeatureSelectionMachinery:
         config = LrcnConfig(input_len=3, conv1_channels=2, conv2_channels=2,
                             lstm_units=3, head_sizes=(4, 2), batch_size=4,
                             seed=0, sequence_stride=8)
-        scorer = SubsetScorer(builder, config, epochs=1, split_seed=0, train_seed=0)
+        scorer = SubsetScorer(builder, config, TrainPlan(epochs=1))
         from inertialab.signals import Feature
 
         first = scorer.score((Feature.SPEED,))
         again = scorer.score((Feature.SPEED,))
         assert first == again
-        assert len(scorer._memo) == 1
+        assert len(scorer.memo) == 1
 
     def test_single_candidate_selected_over_empty_baseline(self):
         builder = DatasetBuilder(
@@ -452,7 +468,7 @@ class TestFeatureSelectionMachinery:
         from inertialab.signals import Feature
 
         result = wrapper_feature_selection(
-            SubsetScorer(builder, config, epochs=1), candidates=[Feature.ROCOF]
+            SubsetScorer(builder, config, TrainPlan(epochs=1)), candidates=[Feature.ROCOF]
         )
         assert result.selected.members == (Feature.ROCOF,)
 
@@ -465,7 +481,7 @@ class TestFeatureSelectionMachinery:
         config = LrcnConfig(input_len=3, conv1_channels=2, conv2_channels=2,
                             lstm_units=3, head_sizes=(4, 2), batch_size=4,
                             seed=0, sequence_stride=8)
-        scorer = SubsetScorer(builder, config, epochs=2, split_seed=0, train_seed=0)
+        scorer = SubsetScorer(builder, config, TrainPlan(epochs=2))
         result = wrapper_feature_selection(scorer)
         scores = [max(r.values()) for r in result.rounds if r]
         picked = [s for s in scores]

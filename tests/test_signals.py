@@ -382,3 +382,11 @@ class TestDatasetContainer:
     def test_bad_magic(self):
         with pytest.raises(ValueError):
             Dataset.from_bytes(b"NOTADATA" + b"\0" * 64)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["tensors", "labels"])
+    def test_non_finite_values_rejected(self, where, value):
+        ds = self.make_dataset()
+        getattr(ds, where)[-1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset.from_bytes(ds.to_bytes())
