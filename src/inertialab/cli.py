@@ -8,10 +8,11 @@ file, then repeatable ``--set key=value`` overrides.  The ``dataset``,
 ``LrcnConfig`` and ``TrainPlan``; a profile changes only a few of them.
 The config file and ``--set`` pass one check: every key must exist, a
 group takes a JSON object and any other key a value of its default's JSON
-kind.  The fully
-resolved configuration is echoed into the run manifest.  Exit codes:
-0 success, 2 I/O failure, 3 validation failure, 4 checkpoint/config
-mismatch, 5 training divergence.
+kind.  Every value is then checked by the dataclass it builds, before any
+command simulates or writes anything.  The fully resolved configuration is
+echoed into the run manifest.  Exit codes: 0 success, 2 I/O failure,
+3 validation failure, 4 dataset length not the checkpoint's input length,
+5 training divergence.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .experiments import (
     DatasetBuilder,
     DatasetSpec,
     GenerationError,
+    InputMismatchError,
     SubsetScorer,
     TrainingDivergedError,
     TrainPlan,
@@ -78,10 +80,6 @@ _METRIC_COLUMNS = ("accuracy", "r2", "mse")
 
 # The two feature windows the window study compares, in seconds.
 _WINDOWS = ((0.0, 1.0), (0.5, 1.5))
-
-
-class CheckpointMismatchError(RuntimeError):
-    """Model checkpoint is incompatible with the supplied data or config."""
 
 
 def _group(obj):
@@ -188,17 +186,6 @@ def resolve_config(args):
     return cfg
 
 
-def _build_grid(cfg):
-    return load_case(cfg["case"]) if cfg["case"] else load_default_case()
-
-
-def _build_spec(cfg):
-    d = cfg["dataset"]
-    return DatasetSpec(
-        **{**d, "probe": ProbingSignal(**d["probe"]), "sim": SimConfig(**d["sim"])}
-    )
-
-
 def run_fingerprint(cfg):
     """Digest of the semantic configuration (artifact location excluded)."""
     semantic = {k: v for k, v in cfg.items() if k != "out"}
@@ -247,7 +234,7 @@ def _load_or_generate_dataset(cfg, grid, spec, out):
     return dataset
 
 
-def _gen_data(out, cfg, grid, spec, plan):
+def _gen_data(out, cfg, grid, spec, config, plan):
     dataset = DatasetBuilder(grid, spec).build()
     blob = dataset.to_bytes()
     (out / "dataset.bin").write_bytes(blob)
@@ -270,9 +257,9 @@ def _write_evaluation(out, stamp, arch, labels, predictions, metrics):
     )
 
 
-def _train(out, cfg, grid, spec, plan):
+def _train(out, cfg, grid, spec, config, plan):
     dataset = _load_or_generate_dataset(cfg, grid, spec, out)
-    model, report, val_set = plan.fit(LrcnConfig(**cfg["model"]), dataset)
+    model, report, val_set = plan.fit(config, dataset)
     model.save(out / "model.bin")
     stamp = _stamp(cfg)
     report.save(out / "report.txt")
@@ -292,17 +279,12 @@ def _train(out, cfg, grid, spec, plan):
     )
 
 
-def _eval(out, cfg, grid, spec, plan):
+def _eval(out, cfg, grid, spec, config, plan):
     model_path = cfg["paths"]["model"]
     if not model_path:
         raise ValueError("eval requires a model checkpoint (--model or paths.model)")
     model = load_model(model_path)
     dataset = _load_or_generate_dataset(cfg, grid, spec, out)
-    if dataset.tensor_length != model.config.input_len:
-        raise CheckpointMismatchError(
-            f"checkpoint expects input length {model.config.input_len}, "
-            f"dataset provides {dataset.tensor_length}"
-        )
     _, val_set = split(dataset, plan.train_fraction, plan.split_seed)
     predictions = predict(model, val_set)
     metrics = metrics_from_predictions(val_set.labels, predictions)
@@ -326,8 +308,8 @@ def _write_arms(out, stamp, name, column, arms, report_prefix, title):
     )
 
 
-def _select_features(out, cfg, grid, spec, plan):
-    scorer = SubsetScorer(DatasetBuilder(grid, spec), LrcnConfig(**cfg["model"]), plan)
+def _select_features(out, cfg, grid, spec, config, plan):
+    scorer = SubsetScorer(DatasetBuilder(grid, spec), config, plan)
     result = wrapper_feature_selection(scorer)
     stamp = _stamp(cfg)
     rows = [
@@ -351,35 +333,33 @@ def _select_features(out, cfg, grid, spec, plan):
     return {"selected": list(names)}, {"selected": "+".join(names)}
 
 
-def _compare_windows(out, cfg, grid, spec, plan):
+def _compare_windows(out, cfg, grid, spec, config, plan):
     builder = DatasetBuilder(grid, spec)
     datasets = ((f"{w[0]}-{w[1]}", builder.build(window=w)) for w in _WINDOWS)
-    arms = {label: r for label, _, r in
-            train_arms(plan, LrcnConfig(**cfg["model"]), datasets, (plan.arch,))}
+    arms = {label: r for label, _, r in train_arms(plan, config, datasets, (plan.arch,))}
     _write_arms(out, _stamp(cfg), "window_comparison", "window", arms, "report_window_",
                 "validation MSE by feature window")
     acc10 = {label: r.metrics.acc10 for label, r in arms.items()}
     return {"clean_fingerprint": builder.clean_fingerprint()}, {"acc10": acc10}
 
 
-def _compare_models(out, cfg, grid, spec, plan):
+def _compare_models(out, cfg, grid, spec, config, plan):
     dataset = DatasetBuilder(grid, spec).build()
     fingerprint = sha256_hex(dataset.to_bytes())
-    arms = {arch: r for _, arch, r in
-            train_arms(plan, LrcnConfig(**cfg["model"]), [("", dataset)], ("lrcn", "cnn"))}
+    arms = {arch: r for _, arch, r in train_arms(plan, config, [("", dataset)], ("lrcn", "cnn"))}
     _write_arms(out, _stamp(cfg), "model_comparison", "model", arms, "report_",
                 "validation MSE by architecture")
     r2 = {arch: r.metrics.r2 for arch, r in arms.items()}
     return {"dataset_fingerprint": fingerprint}, {"r2": r2}
 
 
-def _compare_snr(out, cfg, grid, spec, plan):
+def _compare_snr(out, cfg, grid, spec, config, plan):
     if not plan.snr_levels:
         raise ValueError("need at least one SNR level")
     builder = DatasetBuilder(grid, spec)
     datasets = ((snr, builder.build(snr_db=snr)) for snr in plan.snr_levels)
     rows = [(snr, arch, *_cells(r.metrics)) for snr, arch, r in
-            train_arms(plan, LrcnConfig(**cfg["model"]), datasets, ("lrcn", "cnn"))]
+            train_arms(plan, config, datasets, ("lrcn", "cnn"))]
     plots.write_csv(out / "snr_comparison.csv", ("snr_db", "model", *_METRIC_COLUMNS),
                     rows, comment=_stamp(cfg))
     acc10 = [[snr, arch, acc10] for snr, arch, acc10, _, _ in rows]
@@ -400,10 +380,14 @@ _COMMANDS = {
 
 
 def run_command(cfg, command):
-    """Run one command under the output lock; write its manifest and summary."""
+    """Build (and so check) every run value, then run one command under the
+    output lock; write its manifest and summary."""
+    grid = load_case(cfg["case"]) if cfg["case"] else load_default_case()
+    d = cfg["dataset"]
+    spec = DatasetSpec(**{**d, "probe": ProbingSignal(**d["probe"]), "sim": SimConfig(**d["sim"])})
+    values = (grid, spec, LrcnConfig(**cfg["model"]), TrainPlan(**cfg["train"]))
     with _output_dir(cfg) as out:
-        extra, summary = _COMMANDS[command](
-            out, cfg, _build_grid(cfg), _build_spec(cfg), TrainPlan(**cfg["train"]))
+        extra, summary = _COMMANDS[command](out, cfg, *values)
         manifest = {"config": cfg, "config_fingerprint": run_fingerprint(cfg),
                     "command": command, **extra}
         text = json.dumps(manifest, indent=2, sort_keys=True)
@@ -460,7 +444,7 @@ def build_parser():
 
 # Exit code per failure class, most specific first.
 _EXIT_CODES = (
-    (CheckpointMismatchError, EXIT_MISMATCH),
+    (InputMismatchError, EXIT_MISMATCH),
     (TrainingDivergedError, EXIT_DIVERGED),
     (GenerationError, EXIT_VALIDATION),
     (ValueError, EXIT_VALIDATION),

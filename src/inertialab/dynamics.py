@@ -91,6 +91,8 @@ class ProbingSignal:
             raise ValueError("probe start must be >= 0")
         if self.kind == "prbs" and self.prbs_chip <= 0:
             raise ValueError("prbs chip length must be > 0")
+        if self.seed < 0:
+            raise ValueError(f"probe seed must be >= 0, got {self.seed}")
 
 
 @functools.lru_cache(maxsize=64)

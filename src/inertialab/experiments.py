@@ -17,7 +17,6 @@ import itertools
 import json
 import math
 import time
-import warnings
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -50,6 +49,7 @@ __all__ = [
     "Metrics",
     "TrainReport",
     "TrainingDivergedError",
+    "InputMismatchError",
     "GenerationError",
     "DatasetBuilder",
     "SubsetScorer",
@@ -63,7 +63,6 @@ __all__ = [
     "train",
     "train_arms",
     "predict",
-    "evaluate",
     "metrics_from_predictions",
     "wrapper_feature_selection",
     "exhaustive_subset_scores",
@@ -96,6 +95,10 @@ class GenerationError(RuntimeError):
         super().__init__(
             f"simulation failed at H index {h_index}, amplitude index {amp_index}: {cause}"
         )
+
+
+class InputMismatchError(ValueError):
+    """A dataset's tensor length is not the model's input length."""
 
 
 class TrainingDivergedError(RuntimeError):
@@ -138,6 +141,8 @@ class DatasetSpec:
             raise ValueError(f"amplitudes must be finite and >= 0, got {list(self.amplitudes)}")
         if not -math.inf < self.snr_db <= math.inf:  # +inf turns noise off; NaN fails
             raise ValueError(f"snr_db must be a number or +inf, got {self.snr_db}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
 
     @property
     def n_samples(self):
@@ -319,7 +324,7 @@ class DatasetBuilder:
         )
 
 
-def split(dataset, train_fraction=0.8, seed=0):
+def split(dataset, train_fraction, seed):
     """Seeded shuffle-and-partition into train and validation subsets."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train fraction must be in (0, 1), got {train_fraction}")
@@ -343,14 +348,13 @@ def metrics_from_predictions(labels, predictions):
 
     The accuracy tolerance is relative to the true label and inclusive at
     the boundary.  With constant labels the coefficient of determination is
-    undefined and reported as NaN with a warning.
+    undefined and reported as NaN.
     """
     labels = np.asarray(labels, dtype=np.float64)
     predictions = np.asarray(predictions, dtype=np.float64)
     mse_value = layers.mse(labels, predictions)
     ss_tot = float(np.sum((labels - labels.mean()) ** 2))
     if ss_tot == 0.0:
-        warnings.warn("constant labels: coefficient of determination undefined")
         r2 = float("nan")
     else:
         r2 = 1.0 - float(np.sum((labels - predictions) ** 2)) / ss_tot
@@ -361,7 +365,7 @@ def metrics_from_predictions(labels, predictions):
 def predict(model, dataset):
     """Model predictions over a dataset, evaluated in training-size chunks."""
     if dataset.tensor_length != model.config.input_len:
-        raise ValueError(
+        raise InputMismatchError(
             f"model expects length {model.config.input_len}, "
             f"dataset provides {dataset.tensor_length}"
         )
@@ -371,10 +375,6 @@ def predict(model, dataset):
         for i in range(0, len(dataset), chunk)
     ]
     return np.concatenate(parts)
-
-
-def evaluate(model, dataset):
-    return metrics_from_predictions(dataset.labels, predict(model, dataset))
 
 
 @dataclass
@@ -419,7 +419,7 @@ class TrainReport:
 # Overflow is caught where it matters: check_finite and the loss test turn any
 # non-finite value into TrainingDivergedError, so numpy's warnings are noise.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def train(config, train_set, val_set, epochs, seed=0, arch="lrcn"):
+def train(config, train_set, val_set, epochs, seed, arch):
     """Gradient-descent training with the plateau schedule.
 
     Per epoch: seeded shuffle, fixed-size batches (the trailing short batch
@@ -488,7 +488,7 @@ def train(config, train_set, val_set, epochs, seed=0, arch="lrcn"):
         train_curve=tuple(train_curve),
         val_curve=tuple(val_curve),
         lr_trace=tuple(lr_trace),
-        metrics=evaluate(model, val_set),
+        metrics=metrics_from_predictions(val_set.labels, predict(model, val_set)),
         best_epoch=best_epoch,
         best_val_mse=model.best_val_mse,
         wall_clock=time.perf_counter() - started,
@@ -524,8 +524,11 @@ class TrainPlan:
     cnn_learning_rate: float = CNN_BASELINE_LR
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        for name in ("epochs", "split_seed", "train_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.cnn_learning_rate > 0:  # NaN fails too
+            raise ValueError(f"cnn_learning_rate must be > 0, got {self.cnn_learning_rate}")
         object.__setattr__(self, "snr_levels", tuple(float(s) for s in self.snr_levels))
         if not all(-math.inf < s <= math.inf for s in self.snr_levels):  # NaN fails
             raise ValueError(f"snr_levels must be numbers or +inf, got {list(self.snr_levels)}")
@@ -560,8 +563,8 @@ class SubsetScorer:
     """Memoized validation score of a feature subset under one training plan.
 
     Each subset's dataset is built by ``builder`` and fitted by ``plan`` at
-    ``config``; the score is its acc10.  ``memo`` maps every scored
-    ``(subset, snr_db, window)`` key to its score.
+    ``config``; the score is its acc10.  ``memo`` maps every scored subset,
+    as a frozenset, to its score.
     """
 
     def __init__(self, builder, config, plan):
@@ -570,11 +573,10 @@ class SubsetScorer:
         self.plan = plan
         self.memo = {}
 
-    def score(self, subset, snr_db=None, window=None):
-        key = (frozenset(subset), snr_db, window)
+    def score(self, subset):
+        key = frozenset(subset)
         if key not in self.memo:
-            features = FeatureSet(subset)
-            dataset = self.builder.build(features=features, snr_db=snr_db, window=window)
+            dataset = self.builder.build(features=FeatureSet(subset))
             self.memo[key] = self.plan.fit(self.config, dataset)[1].metrics.acc10
         return self.memo[key]
 
@@ -583,10 +585,9 @@ class SubsetScorer:
 class SelectionResult:
     selected: FeatureSet
     rounds: tuple  # per round: {feature name: candidate-set acc10}
-    scores: dict  # frozenset of Feature -> acc10, every evaluated subset
 
 
-def wrapper_feature_selection(scorer, candidates=None, snr_db=None, window=None):
+def wrapper_feature_selection(scorer, candidates=None):
     """Greedy forward selection driven by validation 10 %-accuracy.
 
     Starting from the empty set, each round adds the candidate whose
@@ -609,7 +610,7 @@ def wrapper_feature_selection(scorer, candidates=None, snr_db=None, window=None)
         best_feature = None
         best_score = current_score
         for feature in remaining:  # canonical order: strict > keeps the first max
-            value = scorer.score(tuple(current + [feature]), snr_db, window)
+            value = scorer.score(tuple(current + [feature]))
             round_scores[feature.channel] = value
             if value > best_score:
                 best_feature, best_score = feature, value
@@ -619,18 +620,14 @@ def wrapper_feature_selection(scorer, candidates=None, snr_db=None, window=None)
         current.append(best_feature)
         current.sort()
         current_score = best_score
-    return SelectionResult(
-        selected=FeatureSet(current),
-        rounds=tuple(rounds),
-        scores={key[0]: val for key, val in scorer.memo.items()},
-    )
+    return SelectionResult(selected=FeatureSet(current), rounds=tuple(rounds))
 
 
-def exhaustive_subset_scores(scorer, candidates=None, snr_db=None, window=None):
-    """Score every non-empty candidate subset (brute-force oracle)."""
-    candidates = sorted(candidates if candidates is not None else list(Feature))
+def exhaustive_subset_scores(scorer):
+    """Score every non-empty feature subset (brute-force oracle)."""
+    candidates = sorted(Feature)
     out = {}
     for size in range(1, len(candidates) + 1):
         for combo in itertools.combinations(candidates, size):
-            out[frozenset(combo)] = scorer.score(combo, snr_db, window)
+            out[frozenset(combo)] = scorer.score(combo)
     return out

@@ -64,20 +64,24 @@ class LrcnConfig:
     sequence_stride: int = 1
 
     def __post_init__(self):
-        sizes = (
-            self.input_len,
-            self.conv1_channels,
-            self.conv2_channels,
-            self.kernel_size,
-            self.lstm_units,
-            self.batch_size,
-            self.sequence_stride,
-            *self.head_sizes,
-        )
-        if any(int(s) != s or s < 1 for s in sizes):
-            raise ValueError("all size parameters must be integers >= 1")
+        sizes = {name: getattr(self, name) for name in (
+            "input_len", "conv1_channels", "conv2_channels", "kernel_size",
+            "lstm_units", "batch_size", "sequence_stride")}
+        sizes.update((f"head_sizes[{i}]", s) for i, s in enumerate(self.head_sizes))
+        for name, size in sizes.items():
+            if int(size) != size or size < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {size}")
         if self.input_len < self.kernel_size:
             raise ValueError("input length below kernel size")
+        if self.kernel_size % 2 == 0:  # the "same" conv pads (k - 1) / 2 on each side
+            raise ValueError(f"kernel_size must be odd, got {self.kernel_size}")
+        if not self.learning_rate > 0:  # NaN fails too
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.lr_factor <= 1:
+            raise ValueError(f"lr_factor must be in (0, 1], got {self.lr_factor}")
+        for name in ("lr_patience", "lr_min", "lr_threshold", "seed"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         object.__setattr__(self, "head_sizes", tuple(self.head_sizes))
 
     @property

@@ -163,12 +163,11 @@ def write_line_svg(path, series, title, xlabel, ylabel, comment=None):
         fh.write(canvas.render())
 
 
-def write_scatter_svg(path, labels, predictions, title, xlabel="actual",
-                      ylabel="predicted", comment=None):
+def write_scatter_svg(path, labels, predictions, title, comment=None):
     """Actual-versus-predicted scatter with the identity reference line."""
     both = list(labels) + list(predictions)
     rng = _axis_range(both)
-    canvas = _Canvas(title, xlabel, ylabel, rng, rng, comment=comment)
+    canvas = _Canvas(title, "actual", "predicted", rng, rng, comment=comment)
     canvas.polyline([rng[0], rng[1]], [rng[0], rng[1]], "#999999")
     canvas.circles(list(labels), list(predictions), _COLORS[0])
     with open(path, "w", encoding="utf-8") as fh:

@@ -339,17 +339,13 @@ def test_criterion_09_feature_selection_oracle(grid):
 
 
 def test_criterion_10_metrics_arithmetic():
-    import warnings
-
     m = metrics_from_predictions([4.0, 8.0], [4.2, 9.0])
     hand = (
         m.acc10 == 0.5
         and m.mse == pytest.approx(0.52, rel=1e-12)
         and m.r2 == pytest.approx(1.0 - 1.04 / 8.0, rel=1e-12)
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        boundary = metrics_from_predictions([10.0], [11.0]).acc10 == 1.0
+    boundary = metrics_from_predictions([10.0], [11.0]).acc10 == 1.0
     perfect = metrics_from_predictions([3.0, 5.0, 7.0], [3.0, 5.0, 7.0])
     exact = perfect.mse == 0.0 and perfect.r2 == 1.0 and perfect.acc10 == 1.0
     mean_pred = metrics_from_predictions([2.0, 4.0, 6.0], [4.0, 4.0, 4.0]).r2 == pytest.approx(0.0, abs=1e-15)

@@ -153,6 +153,18 @@ class TestGenData:
         ("train.snr_levels=[NaN]", "snr_levels"),
         ("train.snr_levels=[60.0,-Infinity]", "snr_levels"),
         ("train.epochs=-1", "epochs"),
+        ("train.split_seed=-1", "split_seed"),
+        ("train.train_seed=-1", "train_seed"),
+        ("train.cnn_learning_rate=0", "cnn_learning_rate"),
+        ("dataset.base_seed=-1", "base_seed"),
+        ("dataset.probe.seed=-1", "probe seed"),
+        ("model.kernel_size=2", "kernel_size"),
+        ("model.learning_rate=0", "learning_rate"),
+        ("model.lr_factor=3.0", "lr_factor"),
+        ("model.lr_patience=-3", "lr_patience"),
+        ("model.lr_min=-1.0", "lr_min"),
+        ("model.lr_threshold=-1.0", "lr_threshold"),
+        ("model.seed=-1", "seed"),
     ])
     def test_bad_grid_exit_code(self, tiny_case, tmp_path, capsys, assignment, key):
         out = tmp_path / "run"
@@ -282,6 +294,23 @@ class TestTrainEval:
             "--set", f'case="{tiny_case}"',
         ])
         assert rc == 4
+
+    @pytest.mark.parametrize("command, assignment, key", [
+        ("train", "model.kernel_size=0", "kernel_size"),
+        ("compare-models", "model.learning_rate=0", "learning_rate"),
+    ])
+    def test_bad_model_value_fails_before_it_writes(self, tiny_case, tmp_path, capsys,
+                                                    command, assignment, key):
+        out = tmp_path / "run"
+        rc = main([command, "--out", str(out), "--set", f'case="{tiny_case}"',
+                   "--set", "dataset.h_values=[3.0,5.0,7.0]",
+                   "--set", "dataset.amplitudes=[0.001,0.002]",
+                   *TINY_MODEL, "--set", assignment])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert key in err
+        assert not out.exists()  # no dataset.bin, not even the output directory
 
     def test_missing_model_is_validation_error(self, tiny_case, tmp_path):
         rc = main(["eval", "--out", str(tmp_path / "x"), "--set", f'case="{tiny_case}"'])

@@ -90,6 +90,8 @@ class TestProbeWaveform:
             ProbingSignal(amplitude=-1.0)
         with pytest.raises(ValueError):
             ProbingSignal(duration=0.0)
+        with pytest.raises(ValueError, match="seed"):
+            ProbingSignal(seed=-1)
 
 
 class TestSwingRhs:

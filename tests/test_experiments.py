@@ -18,7 +18,6 @@ from inertialab.experiments import (
     config_fingerprint,
     default_h_grid,
     desk_amplitude_grid,
-    evaluate,
     exhaustive_subset_scores,
     metrics_from_predictions,
     paper_amplitude_grid,
@@ -88,6 +87,7 @@ class TestGrids:
         (dict(h_values=()), "h_values"),
         (dict(snr_db=float("nan")), "snr_db"),
         (dict(snr_db=-math.inf), "snr_db"),
+        (dict(base_seed=-1), "base_seed"),
     ])
     def test_spec_rejects_bad_grids(self, kw, key):
         with pytest.raises(ValueError, match=key):
@@ -97,6 +97,10 @@ class TestGrids:
         (dict(snr_levels=(60.0, float("nan"))), "snr_levels"),
         (dict(snr_levels=(60.0, -math.inf)), "snr_levels"),
         (dict(epochs=-1), "epochs"),
+        (dict(split_seed=-1), "split_seed"),
+        (dict(train_seed=-1), "train_seed"),
+        (dict(cnn_learning_rate=0.0), "cnn_learning_rate"),
+        (dict(cnn_learning_rate=float("nan")), "cnn_learning_rate"),
     ])
     def test_plan_rejects_bad_fields(self, kw, key):
         with pytest.raises(ValueError, match=key):
@@ -157,15 +161,15 @@ class TestMetrics:
         assert m.r2 == pytest.approx(1.0 - 1.04 / 8.0, rel=1e-12)
 
     def test_boundary_inclusive(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # single label: r2 sentinel expected
-            m = metrics_from_predictions([10.0], [11.0])
-            assert m.acc10 == 1.0
-            m = metrics_from_predictions([10.0], [11.0000001])
-            assert m.acc10 == 0.0
+        m = metrics_from_predictions([10.0], [11.0])
+        assert m.acc10 == 1.0
+        m = metrics_from_predictions([10.0], [11.0000001])
+        assert m.acc10 == 0.0
 
     def test_constant_labels_sentinel(self):
-        with pytest.warns(UserWarning, match="constant labels"):
+        # NaN is the whole report: a one-sample validation split must not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             m = metrics_from_predictions([4.0, 4.0], [4.1, 3.9])
         assert math.isnan(m.r2)
 
@@ -198,7 +202,7 @@ class TestTrainLoop:
         ds = toy_dataset(n=20, length=24)
         cfg = self.small_config(24)
         tr, va = split(ds, 0.8, 0)
-        model, report = train(cfg, tr, va, epochs=0, seed=0)
+        model, report = train(cfg, tr, va, epochs=0, seed=0, arch="lrcn")
         from inertialab.nn.model import make_model
 
         fresh = make_model("lrcn", cfg)
@@ -211,17 +215,18 @@ class TestTrainLoop:
         # the update is in place, so the kept parameters must be a copy
         ds = toy_dataset(n=24, length=24)
         tr, va = split(ds, 0.8, 0)
-        model, report = train(self.small_config(24), tr, va, epochs=5, seed=0)
+        model, report = train(self.small_config(24), tr, va, epochs=5, seed=0, arch="lrcn")
         assert report.best_epoch < 5
         assert layers.mse(va.labels, predict(model, va)) == report.best_val_mse
-        at_best, _ = train(self.small_config(24), tr, va, epochs=report.best_epoch, seed=0)
+        at_best, _ = train(self.small_config(24), tr, va, epochs=report.best_epoch, seed=0,
+                           arch="lrcn")
         for name, value in at_best.params.items():
             np.testing.assert_array_equal(model.params[name], value, err_msg=name)
 
     def test_curve_lengths_match_epochs(self):
         ds = toy_dataset(n=20, length=24)
         tr, va = split(ds, 0.8, 0)
-        _, report = train(self.small_config(24), tr, va, epochs=3, seed=0)
+        _, report = train(self.small_config(24), tr, va, epochs=3, seed=0, arch="lrcn")
         assert len(report.train_curve) == 3
         assert len(report.val_curve) == 3
         assert len(report.lr_trace) == 3
@@ -229,8 +234,8 @@ class TestTrainLoop:
     def test_training_is_deterministic(self):
         ds = toy_dataset(n=24, length=24)
         tr, va = split(ds, 0.8, 0)
-        _, r1 = train(self.small_config(24), tr, va, epochs=4, seed=9)
-        _, r2 = train(self.small_config(24), tr, va, epochs=4, seed=9)
+        _, r1 = train(self.small_config(24), tr, va, epochs=4, seed=9, arch="lrcn")
+        _, r2 = train(self.small_config(24), tr, va, epochs=4, seed=9, arch="lrcn")
         assert r1.train_curve == r2.train_curve
         assert r1.val_curve == r2.val_curve
 
@@ -238,13 +243,13 @@ class TestTrainLoop:
         ds, _ = self.linear_toy()
         tr, va = split(ds, 0.8, 0)
         cfg = self.small_config(60, learning_rate=0.05)
-        model, report = train(cfg, tr, va, epochs=200, seed=0)
+        model, report = train(cfg, tr, va, epochs=200, seed=0, arch="lrcn")
         assert min(report.val_curve) < 1e-3
 
     def test_best_checkpoint_retained(self):
         ds = toy_dataset(n=24, length=24)
         tr, va = split(ds, 0.8, 0)
-        model, report = train(self.small_config(24), tr, va, epochs=5, seed=1)
+        model, report = train(self.small_config(24), tr, va, epochs=5, seed=1, arch="lrcn")
         from inertialab.nn import layers
 
         val_mse = layers.mse(va.labels, predict(model, va))
@@ -255,7 +260,7 @@ class TestTrainLoop:
         ds = toy_dataset(n=24, length=24)
         tr, va = split(ds, 0.8, 0)
         cfg = self.small_config(24, lr_patience=2)
-        _, report = train(cfg, tr, va, epochs=8, seed=2)
+        _, report = train(cfg, tr, va, epochs=8, seed=2, arch="lrcn")
         from inertialab.nn.schedule import ReduceLrOnPlateau
 
         sched = ReduceLrOnPlateau(
@@ -269,7 +274,7 @@ class TestTrainLoop:
         ds = toy_dataset(n=10, length=24)
         tr, va = split(ds, 0.5, 0)
         with pytest.raises(ValueError):
-            train(self.small_config(24, batch_size=16), tr, va, epochs=1, seed=0)
+            train(self.small_config(24, batch_size=16), tr, va, epochs=1, seed=0, arch="lrcn")
 
     @pytest.mark.parametrize("arch", ["lrcn", "cnn"])
     def test_input_len_follows_the_data(self, arch):
@@ -291,12 +296,12 @@ class TestTrainLoop:
         tr, va = split(ds, 0.8, 0)
         cfg = self.small_config(24, learning_rate=1e9)
         with pytest.raises(TrainingDivergedError):
-            train(cfg, tr, va, epochs=10, seed=0)
+            train(cfg, tr, va, epochs=10, seed=0, arch="lrcn")
 
     def test_report_round_trip(self, tmp_path):
         ds = toy_dataset(n=20, length=24)
         tr, va = split(ds, 0.8, 0)
-        _, report = train(self.small_config(24), tr, va, epochs=3, seed=0)
+        _, report = train(self.small_config(24), tr, va, epochs=3, seed=0, arch="lrcn")
         path = tmp_path / "report.txt"
         report.save(path)
         lines = path.read_text().splitlines()

@@ -45,6 +45,21 @@ class TestStructure:
         with pytest.raises(ValueError):
             LrcnConfig(input_len=2, kernel_size=3)
 
+    @pytest.mark.parametrize("kw", [
+        dict(conv1_channels=0), dict(head_sizes=(64, 0)), dict(kernel_size=4),
+        dict(learning_rate=0.0), dict(learning_rate=float("nan")),
+        dict(lr_factor=0.0), dict(lr_factor=1.5), dict(lr_patience=-1),
+        dict(lr_min=-1e-6), dict(lr_threshold=-1.0), dict(seed=-1),
+    ])
+    def test_config_rejects_out_of_domain_values(self, kw):
+        (name,) = kw
+        with pytest.raises(ValueError, match=name):
+            LrcnConfig(**kw)
+
+    def test_config_edge_values_accepted(self):
+        cfg = LrcnConfig(lr_factor=1.0, lr_patience=0, lr_min=0.0, lr_threshold=0.0)
+        assert cfg.lr_factor == 1.0
+
     def test_unknown_arch(self):
         with pytest.raises(ValueError):
             make_model("transformer", LrcnConfig())
