@@ -28,7 +28,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import plots
-from .dynamics import PMU_RECORD_MAGIC, PmuRecordSet, ProbingSignal, SimConfig
+from .dynamics import ProbingSignal, SimConfig
 from .experiments import (
     DatasetBuilder,
     DatasetSpec,
@@ -246,7 +246,8 @@ def _gen_data(out, cfg, grid, spec, config, plan):
 
 def _write_evaluation(out, stamp, arch, labels, predictions, metrics):
     """Estimate-versus-label scatter (CSV and SVG) and the metrics CSV."""
-    plots.write_scatter_csv(out / "scatter.csv", labels, predictions, comment=stamp)
+    plots.write_csv(out / "scatter.csv", ("actual", "predicted"), zip(labels, predictions),
+                    comment=stamp)
     plots.write_scatter_svg(
         out / "scatter.svg", labels, predictions,
         title="inertia estimate vs label", comment=stamp,
@@ -263,14 +264,15 @@ def _train(out, cfg, grid, spec, config, plan):
     model.save(out / "model.bin")
     stamp = _stamp(cfg)
     report.save(out / "report.txt")
-    plots.write_learning_curve_csv(out / "learning_curve.csv", report, comment=stamp)
+    plots.write_csv(out / "learning_curve.csv", ("epoch", "train_mse", "val_mse", "lr"),
+                    report.curve_rows(), comment=stamp)
     plots.write_line_svg(
         out / "learning_curve.svg",
         {"train": _curve(report.train_curve), "validation": _curve(report.val_curve)},
         title="MSE loss vs epoch", xlabel="epoch", ylabel="mse", comment=stamp,
     )
     _write_evaluation(
-        out, stamp, plan.arch, val_set.labels, predict(model, val_set), report.metrics
+        out, stamp, plan.arch, val_set.labels, report.val_predictions, report.metrics
     )
     metrics = vars(report.metrics)
     return (
@@ -402,8 +404,6 @@ def cmd_inspect(path):
         info = {"kind": "dataset", **Dataset.header_from_bytes(blob)}
     elif blob.startswith(MODEL_MAGIC):
         info = {"kind": "model", **read_checkpoint(io.BytesIO(blob))[0]}
-    elif blob.startswith(PMU_RECORD_MAGIC):
-        info = {"kind": "pmu-record", **PmuRecordSet.header_from_bytes(blob)}
     else:
         raise ValueError(f"unrecognized file magic in {path}")
     print(json.dumps(info, sort_keys=True))
@@ -424,7 +424,7 @@ def build_parser():
         "compare-windows": "train on both standard feature windows",
         "compare-models": "train recurrent and flatten baselines",
         "compare-snr": "noise robustness study",
-        "inspect": "dump the header of a dataset/model/record file",
+        "inspect": "dump the header of a dataset or model file",
     }
     for name, help_text in commands.items():
         p = sub.add_parser(name, help=help_text)

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,11 +45,6 @@ __all__ = [
     "integrate",
     "single_machine_response",
 ]
-
-PMU_RECORD_MAGIC = b"PMUREC1"
-_RECORD_HEADER = struct.Struct("<dIQddq")
-_RECORD_FIELDS = ("rate", "n_buses", "n_samples", "h_sys", "probe_amplitude", "seed")
-_RECORD_OFFSET = len(PMU_RECORD_MAGIC) + _RECORD_HEADER.size
 
 
 class InstabilityError(RuntimeError):
@@ -161,7 +155,6 @@ class PmuRecordSet:
     rocof: np.ndarray
     angle: np.ndarray
     h_sys: float = float("nan")
-    probe_amplitude: float = 0.0
     seed: int = 0
 
     CHANNELS = ("speed", "rocof", "angle")
@@ -185,64 +178,6 @@ class PmuRecordSet:
 
     def channel(self, name):
         return getattr(self, name)
-
-    def save(self, path):
-        """Write the documented little-endian binary container."""
-        with open(path, "wb") as fh:
-            fh.write(PMU_RECORD_MAGIC)
-            fh.write(
-                _RECORD_HEADER.pack(
-                    self.rate,
-                    len(self.bus_ids),
-                    self.n_samples,
-                    self.h_sys,
-                    self.probe_amplitude,
-                    self.seed,
-                )
-            )
-            fh.write(np.asarray(self.bus_ids, dtype="<u4").tobytes())
-            for name in self.CHANNELS:
-                fh.write(np.ascontiguousarray(self.channel(name), dtype="<f4").tobytes())
-
-    @classmethod
-    def header_from_bytes(cls, blob):
-        """Fixed header fields of a record container, after checking its size.
-
-        The blob must hold exactly the magic, the header, the bus ids and the
-        three float32 channels it declares: nothing less, nothing trailing.
-        """
-        magic = blob[: len(PMU_RECORD_MAGIC)]
-        if magic != PMU_RECORD_MAGIC:
-            raise ValueError(f"not a PMU record file: bad magic {magic!r}")
-        if len(blob) < _RECORD_OFFSET:
-            raise ValueError("PMU record header truncated")
-        header = dict(
-            zip(_RECORD_FIELDS, _RECORD_HEADER.unpack_from(blob, len(PMU_RECORD_MAGIC)))
-        )
-        n_values = header["n_buses"] * (1 + len(cls.CHANNELS) * header["n_samples"])
-        size = _RECORD_OFFSET + 4 * n_values
-        if len(blob) != size:
-            raise ValueError(f"PMU record size mismatch: header declares {size} bytes, "
-                             f"file has {len(blob)}")
-        return header
-
-    @classmethod
-    def load(cls, path):
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        header = cls.header_from_bytes(blob)
-        n_buses, n_samples = header.pop("n_buses"), header.pop("n_samples")
-        bus_ids = np.frombuffer(blob, dtype="<u4", count=n_buses, offset=_RECORD_OFFSET)
-        off = _RECORD_OFFSET + 4 * n_buses
-        chans = {}
-        for name in cls.CHANNELS:
-            chans[name] = (
-                np.frombuffer(blob, dtype="<f4", count=n_buses * n_samples, offset=off)
-                .reshape(n_buses, n_samples)
-                .astype(np.float64)
-            )
-            off += 4 * n_buses * n_samples
-        return cls(bus_ids=tuple(bus_ids.tolist()), **header, **chans)
 
 
 def _swing_derivative(net, theta, dw, injection=None):
@@ -376,6 +311,5 @@ def integrate(net, probe, cfg, monitored=None, h_sys=float("nan")):
         rocof=rocof[0],
         angle=angle[0],
         h_sys=h_sys,
-        probe_amplitude=probe.amplitude,
         seed=probe.seed,
     )

@@ -267,7 +267,6 @@ class DatasetBuilder:
                     rocof=rocof[row],
                     angle=angle[row],
                     h_sys=spec.h_values[hi],
-                    probe_amplitude=spec.amplitudes[ai],
                     seed=_cell_seed(spec.base_seed, hi, ai),
                 )
                 rec = resample_record(rec, spec.target_rate)
@@ -385,11 +384,16 @@ class TrainReport:
     val_curve: tuple
     lr_trace: tuple
     metrics: Metrics
+    val_predictions: np.ndarray  # not saved; metrics are computed from it
     best_epoch: int
     best_val_mse: float
     wall_clock: float
     config_fingerprint: str
     dataset_fingerprint: str
+
+    def curve_rows(self):
+        """Per-epoch ``(epoch, train_mse, val_mse, lr)`` rows."""
+        return list(zip(itertools.count(1), self.train_curve, self.val_curve, self.lr_trace))
 
     def save(self, path):
         lines = [
@@ -407,10 +411,7 @@ class TrainReport:
             "[CURVES]",
             "epoch,train_mse,val_mse,lr",
         ]
-        for i, (tr, va, lr) in enumerate(
-            zip(self.train_curve, self.val_curve, self.lr_trace), start=1
-        ):
-            lines.append(f"{i},{tr!r},{va!r},{lr!r}")
+        lines += [f"{i},{tr!r},{va!r},{lr!r}" for i, tr, va, lr in self.curve_rows()]
         lines.append("[END]")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -482,13 +483,15 @@ def train(config, train_set, val_set, epochs, seed, arch):
     model.epoch = epochs
     model.lr = lr
     model.best_val_mse = best_val if epochs else float("nan")
+    val_predictions = predict(model, val_set)
     report = TrainReport(
         arch=arch,
         epochs=epochs,
         train_curve=tuple(train_curve),
         val_curve=tuple(val_curve),
         lr_trace=tuple(lr_trace),
-        metrics=metrics_from_predictions(val_set.labels, predict(model, val_set)),
+        metrics=metrics_from_predictions(val_set.labels, val_predictions),
+        val_predictions=val_predictions,
         best_epoch=best_epoch,
         best_val_mse=model.best_val_mse,
         wall_clock=time.perf_counter() - started,
@@ -524,6 +527,8 @@ class TrainPlan:
     cnn_learning_rate: float = CNN_BASELINE_LR
 
     def __post_init__(self):
+        if not 0.0 < self.train_fraction < 1.0:  # NaN fails too
+            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         for name in ("epochs", "split_seed", "train_seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")

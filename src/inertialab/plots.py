@@ -11,8 +11,6 @@ import math
 
 __all__ = [
     "write_csv",
-    "write_learning_curve_csv",
-    "write_scatter_csv",
     "write_line_svg",
     "write_scatter_svg",
 ]
@@ -35,21 +33,6 @@ def _cell(value):
     if isinstance(value, float):  # covers numpy float subclasses
         return repr(float(value))
     return str(value)
-
-
-def write_learning_curve_csv(path, report, comment=None):
-    rows = [
-        (epoch, tr, va, lr)
-        for epoch, (tr, va, lr) in enumerate(
-            zip(report.train_curve, report.val_curve, report.lr_trace), start=1
-        )
-    ]
-    write_csv(path, ("epoch", "train_mse", "val_mse", "lr"), rows, comment=comment)
-
-
-def write_scatter_csv(path, labels, predictions, comment=None):
-    write_csv(path, ("actual", "predicted"), list(zip(labels, predictions)),
-              comment=comment)
 
 
 def _finite(values):

@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from inertialab import experiments
+from inertialab import cli, experiments
 from inertialab.cli import _profile_defaults, build_parser, main, resolve_config, run_fingerprint
-from inertialab.dynamics import PmuRecordSet, ProbingSignal, SimConfig
+from inertialab.dynamics import ProbingSignal, SimConfig
 from inertialab.nn.model import LrcnConfig, make_model
 from inertialab.signals import Dataset, FeatureSet, NormalizationStats
 
@@ -77,14 +77,6 @@ def bad_checkpoint_blobs(tmp_path):
     make_model("lrcn", config).save(path)
     good = path.read_bytes()
     return [good[:-5], good + b"\0\0", b"LRCNMDL1" + struct.pack("<Q", 1 << 40)]
-
-
-def record_blob(tmp_path):
-    """A valid one-bus, four-sample PMUREC1 container."""
-    path = tmp_path / "good-record.bin"
-    zeros = np.zeros((1, 4))
-    PmuRecordSet(rate=2880.0, bus_ids=(1,), speed=zeros, rocof=zeros, angle=zeros).save(path)
-    return path.read_bytes()
 
 
 def dataset_blob():
@@ -156,6 +148,8 @@ class TestGenData:
         ("train.split_seed=-1", "split_seed"),
         ("train.train_seed=-1", "train_seed"),
         ("train.cnn_learning_rate=0", "cnn_learning_rate"),
+        ("train.train_fraction=1.5", "train_fraction"),
+        ("train.train_fraction=0", "train_fraction"),
         ("dataset.base_seed=-1", "base_seed"),
         ("dataset.probe.seed=-1", "probe seed"),
         ("model.kernel_size=2", "kernel_size"),
@@ -258,6 +252,22 @@ class TestTrainEval:
         assert len(curve) == 1 + 2  # header + one row per epoch
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["command"] == "train"
+
+    def test_train_runs_each_validation_pass_once(self, tiny_case, tmp_path, monkeypatch):
+        # one pass per epoch and one with the best parameters; the scatter
+        # reuses the last one's predictions
+        calls = []
+        for module in (experiments, cli):
+            def counted(model, dataset, real=module.predict):
+                calls.append(len(dataset))
+                return real(model, dataset)
+
+            monkeypatch.setattr(module, "predict", counted)
+        out = tmp_path / "run"
+        assert self.run_train(tiny_case, out) == 0
+        assert calls == [1] * (2 + 1)  # train.epochs=2, one validation sample
+        scatter = (out / "scatter.csv").read_text().splitlines()
+        assert len(scatter) == 1 + 1 + 1  # comment, header, one sample
 
     def test_eval_scatter_covers_validation(self, tiny_case, tmp_path, capsys):
         run = tmp_path / "run"
@@ -410,13 +420,12 @@ class TestInspect:
 
     def test_unknown_file(self, tmp_path, capsys):
         path = tmp_path / "mystery.bin"
-        # unknown magic, each container cut inside its fixed header, a
-        # dataset or PMU record 7 bytes short of its declared size or with 2
-        # trailing bytes, checkpoint headers that are well formed JSON but
+        # unknown magic (PMUREC1 included), each container cut inside its
+        # fixed header, a dataset 7 bytes short of its declared size or with
+        # 2 trailing bytes, checkpoint headers that are well formed JSON but
         # not a checkpoint's, and checkpoints of the wrong size
-        blobs = [b"???", b"INRDSET1\0\0", b"LRCNMDL1\0\0", b"PMUREC1\0\0",
+        blobs = [b"???", b"PMUREC1\0\0", b"INRDSET1\0\0", b"LRCNMDL1\0\0",
                  dataset_blob()[:-7], dataset_blob() + b"\0\0",
-                 record_blob(tmp_path)[:-7], record_blob(tmp_path) + b"\0\0",
                  *bad_checkpoint_blobs(tmp_path)]
         for blob in blobs + [checkpoint_blob(h) for h in BAD_CHECKPOINT_HEADERS]:
             path.write_bytes(blob)

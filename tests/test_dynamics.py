@@ -304,33 +304,3 @@ class TestSimConfig:
 
     def test_sample_count(self):
         assert SimConfig(t_end=1.5).n_samples == 4320
-
-
-class TestRecordContainer:
-    def make_record(self):
-        net = two_machine_net()
-        probe = ProbingSignal(amplitude=0.001, injection_bus=1)
-        return integrate(net, probe, SimConfig(), h_sys=4.25)
-
-    def test_binary_round_trip(self, tmp_path):
-        rec = self.make_record()
-        path = tmp_path / "rec.bin"
-        rec.save(path)
-        back = PmuRecordSet.load(path)
-        assert back.rate == rec.rate
-        assert back.bus_ids == rec.bus_ids
-        assert back.h_sys == rec.h_sys
-        assert back.probe_amplitude == rec.probe_amplitude
-        for name in PmuRecordSet.CHANNELS:
-            np.testing.assert_array_equal(
-                back.channel(name), rec.channel(name).astype(np.float32).astype(np.float64)
-            )
-
-    def test_wrong_size_rejected(self, tmp_path):
-        path = tmp_path / "rec.bin"
-        self.make_record().save(path)
-        good = path.read_bytes()
-        for blob in (good[:-7], good + b"\0\0"):
-            path.write_bytes(blob)
-            with pytest.raises(ValueError, match="size mismatch"):
-                PmuRecordSet.load(path)

@@ -39,7 +39,6 @@ def make_record(n_buses=2, n_samples=300, rate=200.0, seed=0, h_sys=4.0):
         rocof=rng.normal(0.0, 1e-3, (n_buses, n_samples)),
         angle=rng.normal(0.0, 1e-2, (n_buses, n_samples)),
         h_sys=h_sys,
-        probe_amplitude=0.001,
         seed=seed,
     )
 
