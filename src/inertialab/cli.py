@@ -8,9 +8,10 @@ file, then repeatable ``--set key=value`` overrides.  The ``dataset``,
 ``LrcnConfig`` and ``TrainPlan``; a profile changes only a few of them.
 The config file and ``--set`` pass one check: every key must exist, a
 group takes a JSON object and any other key a value of its default's JSON
-kind.  Every value is then checked by the dataclass it builds, before any
-command simulates or writes anything.  The fully resolved configuration is
-echoed into the run manifest.  Exit codes: 0 success, 2 I/O failure,
+kind.  Every value is then checked by the dataclass it builds, and the model
+sizes against the data of a command that trains, before any command
+simulates or writes anything.  The fully resolved configuration is echoed
+into the run manifest.  Exit codes: 0 success, 2 I/O failure,
 3 validation failure, 4 dataset length not the checkpoint's input length,
 5 training divergence.
 """
@@ -60,8 +61,9 @@ EXIT_VALIDATION = 3
 EXIT_MISMATCH = 4
 EXIT_DIVERGED = 5
 
-# The model input length follows from the dataset, so the CLI does not expose it.
-_UNEXPOSED = ("input_len",)
+# The model input length follows from the dataset and a corpus probes at each
+# of dataset.amplitudes, so neither input_len nor the probe amplitude is a key.
+_UNEXPOSED = ("input_len", "amplitude")
 
 # Keys naming a file: null or a string.
 _PATH_KEYS = ("case", "paths.dataset", "paths.model")
@@ -381,6 +383,29 @@ _COMMANDS = {
 }
 
 
+def _check_model_fits(cfg, command, grid, spec, config, plan):
+    """Check the model sizes against the smallest dataset ``command`` trains on:
+    the one ``train --data`` loads, else features x monitored buses x window
+    samples, at one feature for ``select-features`` and at the shorter window
+    for ``compare-windows``."""
+    if command == "train" and cfg["paths"]["dataset"]:
+        head = Dataset.header_from_bytes(Path(cfg["paths"]["dataset"]).read_bytes())
+        length, n_samples = head["tensor_length"], head["n_samples"]
+    else:
+        n_features = 1 if command == "select-features" else len(spec.features)
+        windows = _WINDOWS if command == "compare-windows" else (spec.window,)
+        span = min(stop - start for start, stop in windows)
+        length = n_features * len(grid.monitored_buses) * round(spec.target_rate * span)
+        n_samples = spec.n_samples
+    if config.kernel_size > length:
+        raise ValueError(f"model.kernel_size {config.kernel_size} exceeds the "
+                         f"tensor length {length} of the {command} data")
+    n_train = round(plan.train_fraction * n_samples)
+    if 0 < n_train < config.batch_size:
+        raise ValueError(f"model.batch_size {config.batch_size} exceeds the "
+                         f"{n_train} training samples of the {command} data")
+
+
 def run_command(cfg, command):
     """Build (and so check) every run value, then run one command under the
     output lock; write its manifest and summary."""
@@ -388,6 +413,8 @@ def run_command(cfg, command):
     d = cfg["dataset"]
     spec = DatasetSpec(**{**d, "probe": ProbingSignal(**d["probe"]), "sim": SimConfig(**d["sim"])})
     values = (grid, spec, LrcnConfig(**cfg["model"]), TrainPlan(**cfg["train"]))
+    if command not in ("gen-data", "eval"):
+        _check_model_fits(cfg, command, *values)
     with _output_dir(cfg) as out:
         extra, summary = _COMMANDS[command](out, cfg, *values)
         manifest = {"config": cfg, "config_fingerprint": run_fingerprint(cfg),

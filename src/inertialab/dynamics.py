@@ -22,10 +22,11 @@ whole trajectory when the probe amplitude is zero) is identically zero.
 
 One integrator steps any number of rows in lockstep, each with its own
 swing coefficients m and probe amplitude, and writes the samples straight
-into caller-provided [row, bus, sample] buffers.  :func:`integrate` runs it
-on a single row; the corpus builder runs it over blocks of whole inertia
-groups and reuses the buffers from block to block, so a record built on
-them is a view that is only valid until the next block.
+into one caller-provided [row, channel, bus, sample] buffer, the channel
+axis in :attr:`PmuRecordSet.CHANNELS` order.  :func:`integrate` runs it on
+a single row; the corpus builder runs it over blocks of whole inertia
+groups and reuses the buffer from block to block, so a record built on
+``buffer[row]`` is a view that is only valid until the next block.
 """
 
 from __future__ import annotations
@@ -143,41 +144,33 @@ class SimConfig:
 class PmuRecordSet:
     """Per-bus channel series at a common sample rate, plus provenance.
 
-    Channel arrays are stored as C-ordered float64 of shape
-    [n_buses, n_samples] (C-ordered float64 input is kept, not copied), so
-    row reductions such as ``add_noise``'s power sums see one memory order;
-    ``bus_ids`` fixes the row order.
+    ``channels`` is C-ordered float64 of shape [3, n_buses, n_samples]
+    (C-ordered float64 input is kept, not copied), so row reductions such
+    as ``add_noise``'s power sums see one memory order.  Its first axis
+    follows ``CHANNELS`` and ``bus_ids`` fixes the row order.
     """
 
     rate: float
     bus_ids: tuple
-    speed: np.ndarray
-    rocof: np.ndarray
-    angle: np.ndarray
+    channels: np.ndarray
     h_sys: float = float("nan")
     seed: int = 0
 
     CHANNELS = ("speed", "rocof", "angle")
 
     def __post_init__(self):
-        for name in self.CHANNELS:
-            setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=np.float64))
-        shapes = {self.speed.shape, self.rocof.shape, self.angle.shape}
-        if len(shapes) != 1:
-            raise ValueError("channel arrays must share one shape")
-        if self.speed.shape[0] != len(self.bus_ids):
-            raise ValueError("channel rows must match bus_ids")
+        self.channels = np.ascontiguousarray(self.channels, dtype=np.float64)
+        shape = self.channels.shape
+        if len(shape) != 3 or shape[:2] != (len(self.CHANNELS), len(self.bus_ids)):
+            raise ValueError(f"channels must have shape [3, {len(self.bus_ids)}, n], got {shape}")
 
     @property
     def n_samples(self):
-        return self.speed.shape[1]
+        return self.channels.shape[2]
 
     @property
     def duration(self):
         return self.n_samples / self.rate
-
-    def channel(self, name):
-        return getattr(self, name)
 
 
 def _swing_derivative(net, theta, dw, injection=None):
@@ -240,16 +233,15 @@ def _integrate_rows(net, probe, cfg, inertia, amplitudes, monitored, out):
     Row r is the network ``net`` with swing coefficients ``inertia[r]`` (an
     array of shape [rows, n]) probed at ``amplitudes[r]``.  Rows share
     timing, coupling, damping, injections and the PRBS chip sequence, so
-    they ride through the RK4 loop together.  ``out`` holds the speed, RoCoF
-    and angle buffers, each C-ordered float64 of shape
-    [rows, len(monitored), n_samples]; they are overwritten sample by
+    they ride through the RK4 loop together.  ``out`` is a C-ordered float64
+    buffer of shape [rows, 3, len(monitored), n_samples], channels in
+    :attr:`PmuRecordSet.CHANNELS` order; it is overwritten sample by
     sample.  A row whose speed deviation exceeds 1 p.u. or is NaN raises
     :class:`InstabilityError` at the first sample instant where any row
     does so, naming the row with the largest deviation at that instant.
     """
     amplitudes = np.asarray(amplitudes, dtype=np.float64)
     keep = np.array([net.machine_index(b) for b in monitored], dtype=np.intp)
-    speed, rocof, angle = out
 
     inj = amplitudes[:, None] * _injection_row(net, probe)[None, :]  # [rows, n]
     m_total = inertia.sum(axis=1)
@@ -276,10 +268,10 @@ def _integrate_rows(net, probe, cfg, inertia, amplitudes, monitored, out):
             j = step // sps
             if not (np.abs(dw).max() <= 1.0):  # a NaN deviation fails too
                 raise InstabilityError(t, int(np.argmax(np.abs(dw).max(axis=1))))
-            speed[:, :, j] = dw[:, keep]
-            rocof[:, :, j] = k1w[:, keep]
+            out[:, 0, :, j] = dw[:, keep]
+            out[:, 1, :, j] = k1w[:, keep]
             coi = (theta * inertia).sum(axis=1) / m_total  # center-of-inertia angle
-            angle[:, :, j] = theta[:, keep] - coi[:, None]
+            out[:, 2, :, j] = theta[:, keep] - coi[:, None]
         if step == total_steps:
             break
         half = 0.5 * h
@@ -298,18 +290,14 @@ def integrate(net, probe, cfg, monitored=None, h_sys=float("nan")):
     carried as label metadata.
     """
     monitored = net.buses if monitored is None else monitored
-    speed, rocof, angle = out = [
-        np.empty((1, len(monitored), cfg.n_samples)) for _ in PmuRecordSet.CHANNELS
-    ]
+    out = np.empty((1, len(PmuRecordSet.CHANNELS), len(monitored), cfg.n_samples))
     _integrate_rows(
         net, probe, cfg, net.inertia[None, :], [probe.amplitude], monitored, out
     )
     return PmuRecordSet(
         rate=float(cfg.pmu_rate),
         bus_ids=tuple(monitored),
-        speed=speed[0],
-        rocof=rocof[0],
-        angle=angle[0],
+        channels=out[0],
         h_sys=h_sys,
         seed=probe.seed,
     )

@@ -202,12 +202,13 @@ class DatasetBuilder:
 
     Inertia scaling changes only the swing coefficients of the reduced
     network, so all cells share one RK4 loop per block of whole H groups,
-    with the inertia carried per row.  A block holds as many H groups as
-    fit their three full-rate float64 channel buffers into ``_BLOCK_BYTES``
-    and always at least one.  The buffers are allocated once and reused
-    for every block: each row is wrapped as a :class:`PmuRecordSet` view,
-    resampled (and transformed) before the next block overwrites it, so no
-    full-rate record outlives its block.
+    with the inertia carried per row.  The block's samples go into one
+    full-rate float64 [row, channel, bus, sample] buffer; a block holds as
+    many H groups as fit into ``_BLOCK_BYTES`` and always at least one.
+    The buffer is allocated once and reused for every block: each row is
+    wrapped as a :class:`PmuRecordSet` view, resampled (and transformed)
+    before the next block overwrites it, so no full-rate record outlives
+    its block.
     """
 
     def __init__(self, grid, spec, transform=None):
@@ -239,33 +240,27 @@ class DatasetBuilder:
         ]
         _check_only_inertia_differs(nets)
         n_amp = len(spec.amplitudes)
-        group_bytes = 3 * 8 * n_amp * len(monitored) * spec.sim.n_samples
+        row_shape = (len(PmuRecordSet.CHANNELS), len(monitored), spec.sim.n_samples)
+        group_bytes = 8 * n_amp * math.prod(row_shape)
         per_block = max(1, min(len(nets), _BLOCK_BYTES // max(group_bytes, 1)))
-        buffers = [
-            np.empty((per_block * n_amp, len(monitored), spec.sim.n_samples))
-            for _ in PmuRecordSet.CHANNELS
-        ]
+        buffer = np.empty((per_block * n_amp, *row_shape))
         records = []
         for first in range(0, len(nets), per_block):
             block = nets[first : first + per_block]
             rows = len(block) * n_amp
-            out = [buf[:rows] for buf in buffers]
             inertia = np.repeat([net.inertia for net in block], n_amp, axis=0)
             try:
                 _integrate_rows(block[0], spec.probe, spec.sim, inertia,
-                                spec.amplitudes * len(block), monitored, out)
+                                spec.amplitudes * len(block), monitored, buffer[:rows])
             except InstabilityError as exc:
                 offset, ai = divmod(exc.trajectory, n_amp)
                 raise GenerationError(first + offset, ai, exc) from exc
-            speed, rocof, angle = out
             for row in range(rows):
                 hi, ai = first + row // n_amp, row % n_amp
                 rec = PmuRecordSet(
                     rate=float(spec.sim.pmu_rate),
                     bus_ids=monitored,
-                    speed=speed[row],
-                    rocof=rocof[row],
-                    angle=angle[row],
+                    channels=buffer[row],
                     h_sys=spec.h_values[hi],
                     seed=_cell_seed(spec.base_seed, hi, ai),
                 )
@@ -280,8 +275,7 @@ class DatasetBuilder:
         """Digest of the clean record payload (pre-noise, post-resample)."""
         digest = hashlib.sha256()
         for rec in self.clean_records():
-            for name in rec.CHANNELS:
-                digest.update(np.ascontiguousarray(rec.channel(name)).tobytes())
+            digest.update(rec.channels.tobytes())
         return digest.hexdigest()
 
     def noisy_records(self, snr_db):

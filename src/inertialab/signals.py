@@ -46,7 +46,7 @@ _DATASET_HEADER = struct.Struct("<QQIIdddQ")
 
 
 class Feature(enum.IntEnum):
-    """Candidate PMU channels, in canonical order."""
+    """Candidate PMU channels; a value is the index on the channel axis."""
 
     SPEED = 0  # rotor speed deviation
     ROCOF = 1  # speed derivative
@@ -54,7 +54,7 @@ class Feature(enum.IntEnum):
 
     @property
     def channel(self):
-        return ("speed", "rocof", "angle")[self.value]
+        return PmuRecordSet.CHANNELS[self.value]
 
 
 _FEATURE_BY_NAME = {f.channel: f for f in Feature}
@@ -140,11 +140,8 @@ def resample(series, src_rate, target_rate):
 
 def resample_record(record, target_rate):
     """Apply :func:`resample` to every channel of a record set."""
-    chans = {
-        name: resample(record.channel(name), record.rate, target_rate)
-        for name in PmuRecordSet.CHANNELS
-    }
-    return replace(record, rate=float(target_rate), **chans)
+    channels = resample(record.channels, record.rate, target_rate)
+    return replace(record, rate=float(target_rate), channels=channels)
 
 
 def measured_snr(clean, noisy):
@@ -172,27 +169,22 @@ def add_noise(record, snr_db, seed):
     """
     if math.isinf(snr_db) and snr_db > 0:
         return record
-    powers = [
-        np.mean(record.channel(name) ** 2, axis=1) for name in PmuRecordSet.CHANNELS
-    ]
-    if not any(p.any() for p in powers):
+    powers = np.mean(record.channels**2, axis=2)
+    if not powers.any():
         raise ValueError("record has no channel with nonzero power")
     rng = np.random.default_rng(seed)
     ratio = 10.0 ** (snr_db / 10.0)
-    out = {}
-    for name, power in zip(PmuRecordSet.CHANNELS, powers):
-        data = record.channel(name).copy()
-        for row, p in enumerate(power):
-            if p == 0.0:
-                warnings.warn(
-                    f"channel {name}/bus {record.bus_ids[row]} is all-zero; "
-                    "noise skipped",
-                    stacklevel=2,
-                )
-                continue
-            data[row] += rng.normal(0.0, math.sqrt(p / ratio), data.shape[1])
-        out[name] = data
-    return replace(record, **out)
+    data = record.channels.copy()
+    for (chan, row), p in np.ndenumerate(powers):
+        if p == 0.0:
+            warnings.warn(
+                f"channel {record.CHANNELS[chan]}/bus {record.bus_ids[row]} is all-zero; "
+                "noise skipped",
+                stacklevel=2,
+            )
+            continue
+        data[chan, row] += rng.normal(0.0, math.sqrt(p / ratio), record.n_samples)
+    return replace(record, channels=data)
 
 
 def extract_window(record, t_start, t_stop):
@@ -207,20 +199,13 @@ def extract_window(record, t_start, t_stop):
     count = round(record.rate * (t_stop - t_start))
     if i0 + count > record.n_samples:
         raise ValueError("window exceeds record bounds")
-    chans = {
-        name: record.channel(name)[:, i0 : i0 + count].copy()
-        for name in PmuRecordSet.CHANNELS
-    }
-    return replace(record, **chans)
+    return replace(record, channels=record.channels[:, :, i0 : i0 + count].copy())
 
 
 def assemble_features(record, features):
     """Flatten selected channels into one vector (feature, bus, time order)."""
     features = features if isinstance(features, FeatureSet) else FeatureSet(features)
-    parts = [record.channel(f.channel) for f in features]
-    if len({p.shape for p in parts}) != 1:
-        raise ValueError("record channels disagree on shape")
-    return np.concatenate([p.ravel() for p in parts])
+    return record.channels[[f.value for f in features]].ravel()
 
 
 def replace_with_noise(record, feature, seed):
@@ -230,9 +215,9 @@ def replace_with_noise(record, feature, seed):
     information about the label.
     """
     feature = feature if isinstance(feature, Feature) else _FEATURE_BY_NAME[str(feature)]
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(record.channel(feature.channel).shape)
-    return replace(record, **{feature.channel: noise})
+    channels = record.channels.copy()
+    channels[feature] = np.random.default_rng(seed).standard_normal(channels.shape[1:])
+    return replace(record, channels=channels)
 
 
 @dataclass(frozen=True)
@@ -346,20 +331,13 @@ class Dataset:
 
     @classmethod
     def header_from_bytes(cls, blob):
-        n, length, mask, n_buses, t0, t1, snr_db, n_chan = _read_header(blob)
-        return {
-            "n_samples": n,
-            "tensor_length": length,
-            "features": str(FeatureSet.from_bitmask(mask)),
-            "n_buses": n_buses,
-            "window": (t0, t1),
-            "snr_db": snr_db,
-            "n_channels": n_chan,
-        }
+        head = _read_header(blob)
+        return {**head, "features": str(head["features"])}
 
     @classmethod
     def from_bytes(cls, blob):
-        n, length, mask, n_buses, t0, t1, snr_db, n_chan = _read_header(blob)
+        head = _read_header(blob)
+        n, length, n_chan = head["n_samples"], head["tensor_length"], head["n_channels"]
         off = len(DATASET_MAGIC) + _DATASET_HEADER.size
         minima = np.frombuffer(blob, dtype="<f8", count=n_chan, offset=off).copy()
         off += 8 * n_chan
@@ -371,10 +349,10 @@ class Dataset:
         return cls(
             tensors=records["row"].astype(np.float64),
             labels=records["label"].copy(),
-            features=FeatureSet.from_bitmask(mask),
-            window=(t0, t1),
-            snr_db=snr_db,
-            n_buses=n_buses,
+            features=head["features"],
+            window=head["window"],
+            snr_db=head["snr_db"],
+            n_buses=head["n_buses"],
             stats=NormalizationStats(minima=minima, maxima=maxima),
         )
 
@@ -390,20 +368,32 @@ def _record_dtype(length):
 
 
 def _read_header(blob):
-    """Fixed INRDSET1 header fields, after checking the magic and the size.
-
-    The blob must hold exactly the header, the channel extrema and the
-    declared samples (label and float32 row each): nothing less, nothing
-    trailing.
-    """
+    """INRDSET1 header fields by name, after checking the magic, that the
+    fields agree, and that the blob holds exactly the header, the channel
+    extrema and the declared samples (label and float32 row each)."""
     if blob[: len(DATASET_MAGIC)] != DATASET_MAGIC:
         raise ValueError("not a dataset file: bad magic")
     if len(blob) < len(DATASET_MAGIC) + _DATASET_HEADER.size:
         raise ValueError("dataset header truncated")
-    fields = _DATASET_HEADER.unpack_from(blob, len(DATASET_MAGIC))
-    n, length, n_chan = fields[0], fields[1], fields[7]
+    n, length, mask, n_buses, t0, t1, snr_db, n_chan = _DATASET_HEADER.unpack_from(
+        blob, len(DATASET_MAGIC))
+    if not 0 < mask < 1 << len(Feature):
+        raise ValueError(f"dataset feature mask {mask} is not a non-empty set of "
+                         f"the {len(Feature)} features")
+    features = FeatureSet.from_bitmask(mask)
+    if n_buses < 1 or n_chan != len(features) * n_buses:
+        raise ValueError(f"dataset n_channels {n_chan} is not features x n_buses "
+                         f"= {len(features)} x {n_buses} with n_buses >= 1")
+    if length == 0 or length % n_chan:
+        raise ValueError(f"dataset tensor_length {length} is not a positive multiple "
+                         f"of its {n_chan} channels")
+    if not 0.0 <= t0 < t1 < math.inf:  # NaN fails too
+        raise ValueError(f"dataset window ({t0}, {t1}) needs finite 0 <= start < stop")
+    if not -math.inf < snr_db <= math.inf:  # NaN fails too
+        raise ValueError(f"dataset snr_db must be a number or +inf, got {snr_db}")
     size = len(DATASET_MAGIC) + _DATASET_HEADER.size + 16 * n_chan + n * (8 + 4 * length)
     if len(blob) != size:
         raise ValueError(f"dataset size mismatch: header declares {size} bytes, "
                          f"file has {len(blob)}")
-    return fields
+    return {"n_samples": n, "tensor_length": length, "features": features,
+            "n_buses": n_buses, "window": (t0, t1), "snr_db": snr_db, "n_channels": n_chan}

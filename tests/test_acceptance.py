@@ -161,12 +161,10 @@ def test_criterion_03_dynamics_oracle():
     from inertialab.dynamics import single_machine_response
 
     ref = single_machine_response(7.0, 1.3, 0.001, t)
-    worst = float(np.abs(rec.speed[0] - ref).max())
+    worst = float(np.abs(rec.channels[Feature.SPEED, 0] - ref).max())
 
     silent = integrate(net, ProbingSignal(amplitude=0.0, injection_bus=1), cfg)
-    quiescent = all(
-        np.all(silent.channel(name) == 0.0) for name in PmuRecordSet.CHANNELS
-    )
+    quiescent = bool(np.all(silent.channels == 0.0))
     elapsed = time.perf_counter() - started
     ok = worst < 1e-6 and quiescent and elapsed < 10.0
     _verdict(3, ok, (
@@ -186,8 +184,9 @@ def test_criterion_04_monotone_inertia_signal(grid):
     for h_target in H_SWEEP:
         net = build_reduced_network(scale_to_target_inertia(grid, h_target))
         rec = integrate(net, probe, cfg, monitored=grid.monitored_buses)
-        peaks.append(float(np.abs(rec.rocof).max()))
-        onset.append(abs(float(rec.rocof[rec.bus_ids.index(18), 0])))
+        rocof = rec.channels[Feature.ROCOF]
+        peaks.append(float(np.abs(rocof).max()))
+        onset.append(abs(float(rocof[rec.bus_ids.index(18), 0])))
     strictly_decreasing = all(a > b for a, b in zip(peaks, peaks[1:]))
     onset_decreasing = all(a > b for a, b in zip(onset, onset[1:]))
     elapsed = time.perf_counter() - started
@@ -204,15 +203,13 @@ def test_criterion_05_noise_calibration():
     rec = PmuRecordSet(
         rate=200.0,
         bus_ids=(1,),
-        speed=rng.normal(0.0, 1e-4, (1, n)),
-        rocof=rng.normal(0.0, 1e-3, (1, n)),
-        angle=rng.normal(0.0, 1e-2, (1, n)),
+        channels=np.stack([rng.normal(0.0, sd, (1, n)) for sd in (1e-4, 1e-3, 1e-2)]),
     )
     deviations = []
     for snr_db in (45.0, 60.0):
         noisy = add_noise(rec, snr_db, seed=7)
-        for name in PmuRecordSet.CHANNELS:
-            observed = measured_snr(rec.channel(name)[0], noisy.channel(name)[0])
+        for i in range(len(PmuRecordSet.CHANNELS)):
+            observed = measured_snr(rec.channels[i, 0], noisy.channels[i, 0])
             deviations.append(abs(observed - snr_db))
     snr_ok = max(deviations) <= 0.5
 

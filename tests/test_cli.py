@@ -308,6 +308,11 @@ class TestTrainEval:
     @pytest.mark.parametrize("command, assignment, key", [
         ("train", "model.kernel_size=0", "kernel_size"),
         ("compare-models", "model.learning_rate=0", "learning_rate"),
+        # sizes that only the data can rule out: the tensor length is 800
+        # (400 for one feature) and the split keeps 5 of the 6 samples
+        ("train", "model.kernel_size=801", "model.kernel_size"),
+        ("select-features", "model.kernel_size=401", "model.kernel_size"),
+        ("train", "model.batch_size=6", "model.batch_size"),
     ])
     def test_bad_model_value_fails_before_it_writes(self, tiny_case, tmp_path, capsys,
                                                     command, assignment, key):
@@ -321,6 +326,20 @@ class TestTrainEval:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert key in err
         assert not out.exists()  # no dataset.bin, not even the output directory
+
+    def test_model_sizes_checked_against_loaded_data(self, tiny_case, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(gen_args(tiny_case, data)) == 0  # 4 samples of length 800
+        capsys.readouterr()
+        for assignment in ("model.kernel_size=801", "model.batch_size=4"):
+            out = tmp_path / "run"
+            rc = main(["train", "--out", str(out), "--data", str(data / "dataset.bin"),
+                       "--set", f'case="{tiny_case}"', *TINY_MODEL, "--set", assignment])
+            assert rc == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert assignment.split("=")[0] in err
+            assert not out.exists()
 
     def test_missing_model_is_validation_error(self, tiny_case, tmp_path):
         rc = main(["eval", "--out", str(tmp_path / "x"), "--set", f'case="{tiny_case}"'])
@@ -408,6 +427,24 @@ class TestTrainEval:
         assert "non-finite values entering relu at epoch 1, batch 2" in err
 
 
+# Patches that make a tiny-case INRDSET1 header inconsistent: (offset,
+# struct format, value, field the error names).  The header follows the
+# 8-byte magic: n_samples, tensor_len, mask, n_buses, window, snr_db, n_channels.
+BAD_DATASET_HEADERS = (
+    (24, "<I", 11, "feature mask"),  # unknown bit
+    (24, "<I", 0, "feature mask"),
+    (24, "<I", 1, "n_channels"),  # one feature, still 4 channels
+    (28, "<I", 7, "n_channels"),  # 7 buses
+    (28, "<I", 0, "n_buses"),
+    (16, "<Q", 801, "tensor_length"),
+    (32, "<d", 9.0, "window"),  # (9, 1)
+    (40, "<d", math.inf, "window"),
+    (40, "<d", math.nan, "window"),
+    (48, "<d", math.nan, "snr_db"),
+    (48, "<d", -math.inf, "snr_db"),
+)
+
+
 class TestInspect:
     def test_dataset_header(self, tiny_case, tmp_path, capsys):
         out = tmp_path / "run"
@@ -417,6 +454,26 @@ class TestInspect:
         info = json.loads(capsys.readouterr().out.strip())
         assert info["kind"] == "dataset"
         assert info["n_samples"] == 4
+
+    @pytest.mark.parametrize("offset, fmt, value, field", BAD_DATASET_HEADERS)
+    def test_inconsistent_dataset_header(self, tiny_case, tmp_path, capsys,
+                                         offset, fmt, value, field):
+        data = tmp_path / "data"
+        assert main(gen_args(tiny_case, data)) == 0
+        blob = bytearray((data / "dataset.bin").read_bytes())
+        struct.pack_into(fmt, blob, offset, value)
+        path = tmp_path / "bad.bin"
+        path.write_bytes(blob)
+        capsys.readouterr()
+        out = tmp_path / "run"
+        for args in (["inspect", str(path)],
+                     ["train", "--out", str(out), "--data", str(path),
+                      "--set", f'case="{tiny_case}"', *TINY_MODEL]):
+            assert main(args) == 3, args
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert field in err, err
+        assert not out.exists()
 
     def test_unknown_file(self, tmp_path, capsys):
         path = tmp_path / "mystery.bin"
@@ -545,7 +602,11 @@ class TestConfigLayering:
         model = {**asdict(LrcnConfig()), "head_sizes": [64, 16], "sequence_stride": 8}
         del model["input_len"]
         assert manifest["config"]["model"] == model
-        assert manifest["config"]["dataset"]["probe"] == asdict(ProbingSignal())
+        # a corpus probes at each of dataset.amplitudes, so the probe's own
+        # amplitude is no key
+        probe = asdict(ProbingSignal())
+        del probe["amplitude"]
+        assert manifest["config"]["dataset"]["probe"] == probe
         assert manifest["config"]["dataset"]["sim"] == asdict(SimConfig())
         # the TrainPlan defaults, bar the desk epochs; null seeds take the run seed
         plan = {**asdict(experiments.TrainPlan()), "snr_levels": [60.0, 45.0], "epochs": 60}
@@ -554,8 +615,8 @@ class TestConfigLayering:
             **plan, "split_seed": None, "train_seed": None}
         # any drift in a default of any group moves these
         fingerprints = {
-            "desk": "321366e82f1ca0ea08cce7e457c2317f3721c1de5931130962ce85cad10945cc",
-            "paper": "fdd083665edb29d75d2cced58fdb0174e4e0641eddd811f4d4a178849eb507cb",
+            "desk": "ab5a7e2078827c6f907ae3b566b5cde76661e46d0e56abdbf516e873c54e355a",
+            "paper": "a8e534b94936add2dec8108a3240c60fe4029f22ba1cdeee8873b78e744baf69",
         }
         for profile, fingerprint in fingerprints.items():
             args = build_parser().parse_args(["gen-data", "--profile", profile])
@@ -596,6 +657,8 @@ class TestConfigLayering:
             (None, ["dataset.window=[0.0]"]),
             (None, ['dataset.features=["speeed"]']),
             (None, ["case=5"]),
+            (None, ["dataset.probe.amplitude=0.5"]),
+            ({"dataset": {"probe": {"amplitude": 0.5}}}, []),
         ]
         for config, assignments in cases:
             args = gen_args(tiny_case, tmp_path / "x")

@@ -17,6 +17,9 @@ from inertialab.dynamics import (
     swing_rhs,
 )
 from inertialab.grid import ReducedNetwork
+from inertialab.signals import Feature
+
+SPEED, ROCOF, ANGLE = Feature.SPEED, Feature.ROCOF, Feature.ANGLE
 
 OMEGA = 2.0 * math.pi * 60.0
 
@@ -180,8 +183,7 @@ class TestIntegrate:
         net = two_machine_net()
         probe = ProbingSignal(amplitude=0.0, injection_bus=1)
         rec = integrate(net, probe, SimConfig())
-        for name in PmuRecordSet.CHANNELS:
-            assert np.all(rec.channel(name) == 0.0)
+        assert np.all(rec.channels == 0.0)
 
     def test_matches_closed_form(self):
         net = single_machine_net(m=8.0, d=1.0)
@@ -190,7 +192,7 @@ class TestIntegrate:
         rec = integrate(net, probe, cfg)
         t = np.arange(rec.n_samples) / rec.rate
         ref = single_machine_response(8.0, 1.0, 0.001, t)
-        assert np.abs(rec.speed[0] - ref).max() < 1e-6
+        assert np.abs(rec.channels[SPEED, 0] - ref).max() < 1e-6
 
     def test_rocof_is_swing_rhs_at_recorded_state(self):
         """The integrator's RoCoF channel is swing_rhs itself, bit for bit."""
@@ -201,30 +203,31 @@ class TestIntegrate:
         steps_hz = float(cfg.pmu_rate * cfg.steps_per_sample)
         expected = [
             swing_rhs(
-                [rec.angle[0, j], rec.speed[0, j]], net,
+                [rec.channels[ANGLE, 0, j], rec.channels[SPEED, 0, j]], net,
                 [probe.amplitude
                  * _base_waveform(probe, j * cfg.steps_per_sample / steps_hz)],
             )[1]
             for j in range(rec.n_samples)
         ]
-        assert np.array_equal(rec.rocof[0], expected)
-        assert rec.rocof[0].any() and not rec.rocof[0, 0]
+        assert np.array_equal(rec.channels[ROCOF, 0], expected)
+        assert rec.channels[ROCOF, 0].any() and not rec.channels[ROCOF, 0, 0]
 
     def test_initial_rocof_scales_inversely_with_inertia(self):
         probe = ProbingSignal(amplitude=0.004, injection_bus=1, duration=2.0)
         cfg = SimConfig(t_end=1.5)
         r1 = integrate(single_machine_net(m=2.0), probe, cfg)
         r2 = integrate(single_machine_net(m=4.0), probe, cfg)
-        assert r1.rocof[0, 0] == pytest.approx(0.004 / 2.0, rel=1e-12)
-        assert r2.rocof[0, 0] == pytest.approx(r1.rocof[0, 0] / 2.0, rel=1e-12)
+        assert r1.channels[ROCOF, 0, 0] == pytest.approx(0.004 / 2.0, rel=1e-12)
+        assert r2.channels[ROCOF, 0, 0] == pytest.approx(
+            r1.channels[ROCOF, 0, 0] / 2.0, rel=1e-12
+        )
 
     def test_pre_probe_samples_zero(self):
         net = two_machine_net()
         probe = ProbingSignal(amplitude=0.001, injection_bus=2, start=0.5, duration=0.5)
         rec = integrate(net, probe, SimConfig())
         pre = slice(0, int(0.5 * rec.rate))
-        for name in PmuRecordSet.CHANNELS:
-            assert np.all(rec.channel(name)[:, pre] == 0.0)
+        assert np.all(rec.channels[:, :, pre] == 0.0)
 
     def test_time_invariance_under_shift(self):
         net = two_machine_net()
@@ -237,18 +240,17 @@ class TestIntegrate:
             net, ProbingSignal(amplitude=0.001, injection_bus=1, start=0.25 + tau), cfg
         )
         lag = round(tau * cfg.pmu_rate)
-        for name in PmuRecordSet.CHANNELS:
-            a = base.channel(name)[:, : base.n_samples - lag]
-            b = shifted.channel(name)[:, lag:]
-            np.testing.assert_array_equal(a, b)
+        a = base.channels[:, :, : base.n_samples - lag]
+        b = shifted.channels[:, :, lag:]
+        np.testing.assert_array_equal(a, b)
 
     def test_small_signal_linearity(self):
         net = two_machine_net()
         cfg = SimConfig(t_end=1.5)
         small = integrate(net, ProbingSignal(amplitude=0.0005, injection_bus=1), cfg)
         double = integrate(net, ProbingSignal(amplitude=0.001, injection_bus=1), cfg)
-        scale = np.abs(small.speed).max()
-        err = np.abs(double.speed - 2.0 * small.speed).max()
+        scale = np.abs(small.channels[SPEED]).max()
+        err = np.abs(double.channels[SPEED] - 2.0 * small.channels[SPEED]).max()
         assert err < 0.01 * 2.0 * scale
 
     def test_rk4_order(self):
@@ -258,7 +260,7 @@ class TestIntegrate:
 
         def run(step):
             cfg = SimConfig(t_end=1.5, integrator_step=step)
-            return integrate(net, probe, cfg).speed
+            return integrate(net, probe, cfg).channels[SPEED]
 
         ref = run(h / 8.0)
         err_h = np.abs(run(h) - ref).max()
@@ -286,7 +288,14 @@ class TestIntegrate:
         probe = ProbingSignal(amplitude=0.001, injection_bus=1)
         rec = integrate(net, probe, SimConfig(), monitored=(2,))
         assert rec.bus_ids == (2,)
-        assert rec.speed.shape[0] == 1
+        assert rec.channels.shape[:2] == (3, 1)
+
+
+class TestPmuRecordSet:
+    @pytest.mark.parametrize("shape", [(2, 2, 5), (3, 3, 5), (3, 5)])
+    def test_rejects_channels_of_the_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match="channels must have shape"):
+            PmuRecordSet(rate=200.0, bus_ids=(1, 2), channels=np.zeros(shape))
 
 
 class TestSimConfig:

@@ -1,5 +1,6 @@
 """Resampling, noise calibration, windowing, normalization, tensor layout."""
 
+import itertools
 import math
 import struct
 
@@ -35,9 +36,9 @@ def make_record(n_buses=2, n_samples=300, rate=200.0, seed=0, h_sys=4.0):
     return PmuRecordSet(
         rate=rate,
         bus_ids=tuple(range(1, n_buses + 1)),
-        speed=rng.normal(0.0, 1e-4, (n_buses, n_samples)),
-        rocof=rng.normal(0.0, 1e-3, (n_buses, n_samples)),
-        angle=rng.normal(0.0, 1e-2, (n_buses, n_samples)),
+        channels=np.stack(
+            [rng.normal(0.0, sd, (n_buses, n_samples)) for sd in (1e-4, 1e-3, 1e-2)]
+        ),
         h_sys=h_sys,
         seed=seed,
     )
@@ -112,62 +113,54 @@ class TestAddNoise:
     def test_sixty_db_variance(self):
         rec = make_record(n_buses=1, n_samples=100_000)
         noisy = add_noise(rec, 60.0, seed=3)
-        power = np.mean(rec.speed**2)
-        resid_var = np.var(noisy.speed - rec.speed)
+        power = np.mean(rec.channels[0] ** 2)
+        resid_var = np.var(noisy.channels[0] - rec.channels[0])
         assert resid_var == pytest.approx(power / 1e6, rel=0.05)
 
     @pytest.mark.parametrize("snr_db", [45.0, 60.0])
     def test_measured_snr_within_half_db(self, snr_db):
         rec = make_record(n_buses=1, n_samples=20_000, seed=2)
         noisy = add_noise(rec, snr_db, seed=4)
-        for name in PmuRecordSet.CHANNELS:
-            observed = measured_snr(rec.channel(name)[0], noisy.channel(name)[0])
+        for i in range(len(PmuRecordSet.CHANNELS)):
+            observed = measured_snr(rec.channels[i, 0], noisy.channels[i, 0])
             assert abs(observed - snr_db) <= 0.5
 
     def test_deterministic_under_seed(self):
         rec = make_record()
         a = add_noise(rec, 45.0, seed=9)
         b = add_noise(rec, 45.0, seed=9)
-        for name in PmuRecordSet.CHANNELS:
-            np.testing.assert_array_equal(a.channel(name), b.channel(name))
+        np.testing.assert_array_equal(a.channels, b.channels)
 
     def test_memory_order_does_not_change_noise(self):
         rec = make_record(n_buses=4, n_samples=1000)
         fortran = PmuRecordSet(
             rate=rec.rate,
             bus_ids=rec.bus_ids,
-            speed=np.asfortranarray(rec.speed),
-            rocof=np.asfortranarray(rec.rocof),
-            angle=np.asfortranarray(rec.angle),
+            channels=np.asfortranarray(rec.channels),
             h_sys=rec.h_sys,
         )
         a = add_noise(rec, 45.0, seed=9)
         b = add_noise(fortran, 45.0, seed=9)
-        for name in PmuRecordSet.CHANNELS:
-            assert a.channel(name).tobytes() == b.channel(name).tobytes(), name
+        assert a.channels.tobytes() == b.channels.tobytes()
 
     def test_all_zero_channel_skipped_with_warning(self):
         rec = make_record(n_buses=1)
         rec = PmuRecordSet(
             rate=rec.rate,
             bus_ids=rec.bus_ids,
-            speed=rec.speed,
-            rocof=rec.rocof,
-            angle=np.zeros_like(rec.angle),
+            channels=np.concatenate([rec.channels[:2], np.zeros_like(rec.channels[2:])]),
             h_sys=rec.h_sys,
         )
         with pytest.warns(UserWarning, match="all-zero"):
             noisy = add_noise(rec, 60.0, seed=1)
-        np.testing.assert_array_equal(noisy.angle, 0.0)
+        np.testing.assert_array_equal(noisy.channels[2], 0.0)
 
     def test_fully_silent_record_rejected(self):
         rec = make_record(n_buses=1)
         silent = PmuRecordSet(
             rate=rec.rate,
             bus_ids=rec.bus_ids,
-            speed=np.zeros_like(rec.speed),
-            rocof=np.zeros_like(rec.rocof),
-            angle=np.zeros_like(rec.angle),
+            channels=np.zeros_like(rec.channels),
         )
         with pytest.raises(ValueError):
             add_noise(silent, 60.0, seed=1)
@@ -187,13 +180,13 @@ class TestExtractWindow:
     def test_full_duration_identity(self):
         rec = make_record(n_samples=300)
         out = extract_window(rec, 0.0, rec.duration)
-        np.testing.assert_array_equal(out.speed, rec.speed)
+        np.testing.assert_array_equal(out.channels, rec.channels)
 
     def test_windows_agree_on_overlap(self):
         rec = make_record(n_samples=300)
         first = extract_window(rec, 0.0, 1.0)
         second = extract_window(rec, 0.5, 1.5)
-        np.testing.assert_array_equal(first.speed[:, 100:], second.speed[:, :100])
+        np.testing.assert_array_equal(first.channels[:, :, 100:], second.channels[:, :, :100])
 
     def test_out_of_range(self):
         rec = make_record(n_samples=300)
@@ -238,16 +231,26 @@ class TestAssembleFeatures:
         rec = make_record(n_buses=3, n_samples=4)
         vec = assemble_features(rec, ("speed", "angle"))
         # second feature block, second bus, third time step
-        assert vec[4 * 3 + 4 + 2] == rec.angle[1, 3 - 1]
-        assert vec[0] == rec.speed[0, 0]
+        assert vec[4 * 3 + 4 + 2] == rec.channels[2, 1, 3 - 1]
+        assert vec[0] == rec.channels[0, 0, 0]
+
+    @pytest.mark.parametrize(
+        "features",
+        [c for k in (1, 2, 3) for c in itertools.combinations(Feature, k)],
+        ids=lambda features: str(FeatureSet(features)),
+    )
+    def test_matches_per_feature_concatenation(self, features):
+        rec = make_record(n_buses=3, n_samples=7)
+        oracle = np.concatenate([rec.channels[f].ravel() for f in features])
+        assert assemble_features(rec, features).tobytes() == oracle.tobytes()
 
     def test_replace_with_noise_targets_one_channel(self):
         rec = make_record()
         out = replace_with_noise(rec, "angle", seed=3)
-        np.testing.assert_array_equal(out.speed, rec.speed)
-        assert not np.array_equal(out.angle, rec.angle)
+        np.testing.assert_array_equal(out.channels[:2], rec.channels[:2])
+        assert not np.array_equal(out.channels[2], rec.channels[2])
         again = replace_with_noise(rec, "angle", seed=3)
-        np.testing.assert_array_equal(out.angle, again.angle)
+        np.testing.assert_array_equal(out.channels[2], again.channels[2])
 
 
 class TestNormalization:
