@@ -227,16 +227,15 @@ def _curve(values):
     return list(range(1, len(values) + 1)), list(values)
 
 
-def _load_or_generate_dataset(cfg, grid, spec, out):
-    path = cfg["paths"]["dataset"]
-    if path:
-        return Dataset.load(path)
+def _load_or_generate_dataset(data, grid, spec, out):
+    if data is not None:
+        return data
     dataset = DatasetBuilder(grid, spec).build()
     dataset.save(out / "dataset.bin")
     return dataset
 
 
-def _gen_data(out, cfg, grid, spec, config, plan):
+def _gen_data(out, cfg, data, grid, spec, config, plan):
     dataset = DatasetBuilder(grid, spec).build()
     blob = dataset.to_bytes()
     (out / "dataset.bin").write_bytes(blob)
@@ -260,8 +259,8 @@ def _write_evaluation(out, stamp, arch, labels, predictions, metrics):
     )
 
 
-def _train(out, cfg, grid, spec, config, plan):
-    dataset = _load_or_generate_dataset(cfg, grid, spec, out)
+def _train(out, cfg, data, grid, spec, config, plan):
+    dataset = _load_or_generate_dataset(data, grid, spec, out)
     model, report, val_set = plan.fit(config, dataset)
     model.save(out / "model.bin")
     stamp = _stamp(cfg)
@@ -283,12 +282,12 @@ def _train(out, cfg, grid, spec, config, plan):
     )
 
 
-def _eval(out, cfg, grid, spec, config, plan):
+def _eval(out, cfg, data, grid, spec, config, plan):
     model_path = cfg["paths"]["model"]
     if not model_path:
         raise ValueError("eval requires a model checkpoint (--model or paths.model)")
     model = load_model(model_path)
-    dataset = _load_or_generate_dataset(cfg, grid, spec, out)
+    dataset = _load_or_generate_dataset(data, grid, spec, out)
     _, val_set = split(dataset, plan.train_fraction, plan.split_seed)
     predictions = predict(model, val_set)
     metrics = metrics_from_predictions(val_set.labels, predictions)
@@ -312,7 +311,7 @@ def _write_arms(out, stamp, name, column, arms, report_prefix, title):
     )
 
 
-def _select_features(out, cfg, grid, spec, config, plan):
+def _select_features(out, cfg, data, grid, spec, config, plan):
     scorer = SubsetScorer(DatasetBuilder(grid, spec), config, plan)
     result = wrapper_feature_selection(scorer)
     stamp = _stamp(cfg)
@@ -337,7 +336,7 @@ def _select_features(out, cfg, grid, spec, config, plan):
     return {"selected": list(names)}, {"selected": "+".join(names)}
 
 
-def _compare_windows(out, cfg, grid, spec, config, plan):
+def _compare_windows(out, cfg, data, grid, spec, config, plan):
     builder = DatasetBuilder(grid, spec)
     datasets = ((f"{w[0]}-{w[1]}", builder.build(window=w)) for w in _WINDOWS)
     arms = {label: r for label, _, r in train_arms(plan, config, datasets, (plan.arch,))}
@@ -347,7 +346,7 @@ def _compare_windows(out, cfg, grid, spec, config, plan):
     return {"clean_fingerprint": builder.clean_fingerprint()}, {"acc10": acc10}
 
 
-def _compare_models(out, cfg, grid, spec, config, plan):
+def _compare_models(out, cfg, data, grid, spec, config, plan):
     dataset = DatasetBuilder(grid, spec).build()
     fingerprint = sha256_hex(dataset.to_bytes())
     arms = {arch: r for _, arch, r in train_arms(plan, config, [("", dataset)], ("lrcn", "cnn"))}
@@ -357,7 +356,7 @@ def _compare_models(out, cfg, grid, spec, config, plan):
     return {"dataset_fingerprint": fingerprint}, {"r2": r2}
 
 
-def _compare_snr(out, cfg, grid, spec, config, plan):
+def _compare_snr(out, cfg, data, grid, spec, config, plan):
     if not plan.snr_levels:
         raise ValueError("need at least one SNR level")
     builder = DatasetBuilder(grid, spec)
@@ -383,14 +382,13 @@ _COMMANDS = {
 }
 
 
-def _check_model_fits(cfg, command, grid, spec, config, plan):
+def _check_model_fits(command, data, grid, spec, config, plan):
     """Check the model sizes against the smallest dataset ``command`` trains on:
-    the one ``train --data`` loads, else features x monitored buses x window
-    samples, at one feature for ``select-features`` and at the shorter window
-    for ``compare-windows``."""
-    if command == "train" and cfg["paths"]["dataset"]:
-        head = Dataset.header_from_bytes(Path(cfg["paths"]["dataset"]).read_bytes())
-        length, n_samples = head["tensor_length"], head["n_samples"]
+    ``data`` when ``train --data`` loaded it, else features x monitored buses x
+    window samples, at one feature for ``select-features`` and at the shorter
+    window for ``compare-windows``."""
+    if data is not None:
+        length, n_samples = data.tensor_length, len(data)
     else:
         n_features = 1 if command == "select-features" else len(spec.features)
         windows = _WINDOWS if command == "compare-windows" else (spec.window,)
@@ -412,9 +410,12 @@ def run_command(cfg, command):
     grid = load_case(cfg["case"]) if cfg["case"] else load_default_case()
     d = cfg["dataset"]
     spec = DatasetSpec(**{**d, "probe": ProbingSignal(**d["probe"]), "sim": SimConfig(**d["sim"])})
-    values = (grid, spec, LrcnConfig(**cfg["model"]), TrainPlan(**cfg["train"]))
+    path = cfg["paths"]["dataset"] if command in ("train", "eval") else None
+    # the one read of a --data file, before the output directory is taken
+    data = Dataset.load(path) if path else None
+    values = (data, grid, spec, LrcnConfig(**cfg["model"]), TrainPlan(**cfg["train"]))
     if command not in ("gen-data", "eval"):
-        _check_model_fits(cfg, command, *values)
+        _check_model_fits(command, *values)
     with _output_dir(cfg) as out:
         extra, summary = _COMMANDS[command](out, cfg, *values)
         manifest = {"config": cfg, "config_fingerprint": run_fingerprint(cfg),

@@ -1,5 +1,7 @@
 """Command-line surface: artifacts, determinism, exit codes."""
 
+import builtins
+import io
 import json
 import math
 import os
@@ -341,6 +343,29 @@ class TestTrainEval:
             assert assignment.split("=")[0] in err
             assert not out.exists()
 
+    def test_train_reads_its_data_once(self, tiny_case, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "data"
+        assert main(gen_args(tiny_case, data)) == 0
+        path = data / "dataset.bin"
+        reads = []
+        real_open = io.open
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            if isinstance(file, (str, os.PathLike)) and "r" in mode and Path(file) == path:
+                reads.append(handle.read(8) if "b" in mode else None)
+                handle.seek(0)
+            return handle
+
+        # builtins.open serves open(); pathlib reads through io.open
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)
+        rc = main(["train", "--out", str(tmp_path / "run"), "--data", str(path),
+                   "--set", f'case="{tiny_case}"', "--set", "train.epochs=1", *TINY_MODEL,
+                   "--set", "model.batch_size=2"])
+        assert rc == 0
+        assert reads == [b"INRDSET1"]
+
     def test_missing_model_is_validation_error(self, tiny_case, tmp_path):
         rc = main(["eval", "--out", str(tmp_path / "x"), "--set", f'case="{tiny_case}"'])
         assert rc == 3
@@ -373,6 +398,12 @@ class TestTrainEval:
             err = capsys.readouterr().err
             assert err == "error: dataset holds non-finite tensor values or labels\n", err
         assert not (tmp_path / "run" / "model.bin").exists()
+        # eval reads --data before it takes the output directory, too
+        rc = main(["eval", "--out", str(tmp_path / "eval"), "--data", str(path),
+                   "--set", f'case="{tiny_case}"'])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: dataset holds non-finite tensor values or labels\n"
+        assert not (tmp_path / "eval").exists()
 
     def test_overflow_is_one_error_line_as_a_command(self, tiny_case, tmp_path):
         # pytest captures warnings in-process; a child interpreter shows what

@@ -12,11 +12,17 @@ from inertialab.dynamics import (
     ProbingSignal,
     SimConfig,
     _base_waveform,
+    _integrate_rows,
     integrate,
     single_machine_response,
     swing_rhs,
 )
-from inertialab.grid import ReducedNetwork
+from inertialab.grid import (
+    ReducedNetwork,
+    build_reduced_network,
+    load_default_case,
+    scale_to_target_inertia,
+)
 from inertialab.signals import Feature
 
 SPEED, ROCOF, ANGLE = Feature.SPEED, Feature.ROCOF, Feature.ANGLE
@@ -289,6 +295,119 @@ class TestIntegrate:
         rec = integrate(net, probe, SimConfig(), monitored=(2,))
         assert rec.bus_ids == (2,)
         assert rec.channels.shape[:2] == (3, 1)
+
+
+def reference_rows(net, probe, cfg, inertia, amplitudes, monitored):
+    """Plain RK4 over [rows, n] arrays: one tuple-returning right-hand side
+    per stage, fresh arrays for every intermediate, no buffers.  The
+    integrator must write exactly these bits."""
+    amplitudes = np.asarray(amplitudes, dtype=np.float64)
+    keep = [net.machine_index(b) for b in monitored]
+    unit = np.zeros(net.n)
+    unit[net.machine_index(probe.injection_bus)] = 1.0
+    inj = amplitudes[:, None] * unit[None, :]
+
+    def rhs(t, theta, dw):
+        u = _base_waveform(probe, t)
+        s, c = np.sin(theta), np.cos(theta)
+        p_elec = s * (c @ net.coupling) - c * (s @ net.coupling)
+        drive = net.injections + u * inj if u else net.injections
+        return net.sync_speed * dw, (drive - p_elec - net.damping * dw) / inertia
+
+    sps = cfg.steps_per_sample
+    steps_hz = float(cfg.pmu_rate * sps)
+    total_steps = (cfg.n_samples - 1) * sps
+    h = 1.0 / steps_hz
+    theta, dw = np.zeros(inj.shape), np.zeros(inj.shape)
+    out = np.full((len(inj), 3, len(keep), cfg.n_samples), np.nan)
+    for step in range(total_steps + 1):
+        t = step / steps_hz
+        k1t, k1w = rhs(t, theta, dw)
+        if step % sps == 0:
+            j = step // sps
+            if not (np.abs(dw).max() <= 1.0):
+                raise InstabilityError(t, int(np.argmax(np.abs(dw).max(axis=1))))
+            out[:, 0, :, j] = dw[:, keep]
+            out[:, 1, :, j] = k1w[:, keep]
+            coi = (theta * inertia).sum(axis=1) / inertia.sum(axis=1)
+            out[:, 2, :, j] = theta[:, keep] - coi[:, None]
+        if step == total_steps:
+            break
+        k2t, k2w = rhs(t + 0.5 * h, theta + 0.5 * h * k1t, dw + 0.5 * h * k1w)
+        k3t, k3w = rhs(t + 0.5 * h, theta + 0.5 * h * k2t, dw + 0.5 * h * k2w)
+        k4t, k4w = rhs(t + h, theta + h * k3t, dw + h * k3w)
+        theta = theta + (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
+        dw = dw + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+    return out
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestIntegratorMatchesReference:
+    """The in-place integrator against :func:`reference_rows`, bit for bit.
+
+    Unlike a pinned digest this holds on any BLAS and CPU: both sides run
+    the same products on the same machine."""
+
+    GRID = load_default_case()
+    PROBES = {
+        # edges of the drive inside the run: on at 0.25 s, off at 0.75 s
+        "step": ProbingSignal(injection_bus=18, start=0.25, duration=0.5),
+        # 50 chips of 0.02 s, their edges between 0.1 s and 1.1 s
+        "prbs": ProbingSignal(kind="prbs", injection_bus=18, start=0.1, duration=1.0,
+                              prbs_chip=0.02, seed=5),
+    }
+
+    def block(self, h_values, amplitudes):
+        nets = [build_reduced_network(scale_to_target_inertia(self.GRID, h))
+                for h in h_values]
+        inertia = np.repeat([net.inertia for net in nets], len(amplitudes), axis=0)
+        return nets[0], inertia, list(amplitudes) * len(nets)
+
+    def run_both(self, net, probe, inertia, amplitudes, monitored):
+        cfg = SimConfig()
+        out = np.full((len(inertia), 3, len(monitored), cfg.n_samples), np.nan)
+        _integrate_rows(net, probe, cfg, inertia, amplitudes, monitored, out)
+        return out, reference_rows(net, probe, cfg, inertia, amplitudes, monitored)
+
+    @pytest.mark.parametrize("kind", ["step", "prbs"])
+    def test_two_inertia_groups_three_amplitudes(self, kind):
+        net, inertia, amplitudes = self.block((3.0, 6.0), (0.001, 0.004, 0.02))
+        out, ref = self.run_both(net, self.PROBES[kind], inertia, amplitudes, net.buses)
+        assert_same_bits(out, ref)
+        assert np.all(out[:, :, :, -1] != 0.0)
+
+    def test_monitored_subset(self):
+        net, inertia, amplitudes = self.block((4.0,), (0.002, 0.01))
+        monitored = (22, 2, 16)  # out of bus order
+        out, ref = self.run_both(net, self.PROBES["prbs"], inertia, amplitudes, monitored)
+        assert_same_bits(out, ref)
+
+    @pytest.mark.parametrize("kind", ["step", "prbs"])
+    def test_single_row_integrate(self, kind):
+        net = build_reduced_network(self.GRID)
+        probe = replace(self.PROBES[kind], amplitude=0.005)
+        rec = integrate(net, probe, SimConfig())
+        ref = reference_rows(net, probe, SimConfig(), net.inertia[None, :],
+                             [probe.amplitude], net.buses)
+        assert_same_bits(rec.channels, ref[0])
+
+    def test_unstable_row_fails_at_the_same_instant(self):
+        net = single_machine_net(m=8.0, d=0.01)
+        inertia = np.array([[8.0], [0.08], [0.05], [8.0]])
+        amplitudes = [2.0] * 4
+        probe = ProbingSignal(amplitude=2.0, injection_bus=1, duration=2.0)
+        errors = []
+        for run in (_integrate_rows, lambda *args: reference_rows(*args[:-1])):
+            with pytest.raises(InstabilityError) as err:
+                run(net, probe, SimConfig(), inertia, amplitudes, (1,),
+                    np.empty((4, 3, 1, SimConfig().n_samples)))
+            errors.append((err.value.time, err.value.trajectory))
+        assert errors[0] == errors[1]
+        assert errors[0][1] == 2 and 0.0 < errors[0][0] < 1.5
 
 
 class TestPmuRecordSet:
