@@ -381,7 +381,7 @@ class TrainReport:
     val_predictions: np.ndarray  # not saved; metrics are computed from it
     best_epoch: int
     best_val_mse: float
-    wall_clock: float
+    wall_clock: float  # not saved: it differs on every rerun
     config_fingerprint: str
     dataset_fingerprint: str
 
@@ -396,7 +396,6 @@ class TrainReport:
             f"epochs {self.epochs}",
             f"best_epoch {self.best_epoch}",
             f"best_val_mse {self.best_val_mse!r}",
-            f"wall_clock_s {self.wall_clock!r}",
             f"config_fingerprint {self.config_fingerprint}",
             f"dataset_fingerprint {self.dataset_fingerprint}",
             f"final_mse {self.metrics.mse!r}",

@@ -40,6 +40,12 @@ def conv1d_forward(x, kernels, bias, padding):
 
     ``padding="valid"`` yields length L-K+1; ``padding="same"`` zero-pads to
     keep length L (odd K only).
+
+    The taps are summed one sample at a time: each sample's output row
+    starts at ``bias`` and adds each tap's [L_out, C_out] product in tap
+    order, through one [L_out, C_out] scratch that every product reuses.
+    These are the per-sample products that a batched product over the
+    sliced [B, L_out, C_in] input makes, so the sums have the same bits.
     """
     x = check_finite("conv1d", np.asarray(x, dtype=np.float64))
     kernels = np.asarray(kernels, dtype=np.float64)
@@ -61,25 +67,41 @@ def conv1d_forward(x, kernels, bias, padding):
     else:
         raise ValueError(f"unknown padding {padding!r}")
 
-    out = np.broadcast_to(bias, (x.shape[0], out_len, c_out)).copy()
-    for tap in range(k):
-        out += xp[:, tap : tap + out_len, :] @ kernels[:, :, tap].T
+    out = np.empty((x.shape[0], out_len, c_out))
+    tmp = np.empty((out_len, c_out))
+    for x_row, out_row in zip(xp, out):
+        out_row[...] = bias
+        for tap in range(k):
+            np.matmul(x_row[tap : tap + out_len], kernels[:, :, tap].T, out=tmp)
+            out_row += tmp
     return out, (xp, kernels, padding, x.shape[1], out_len)
 
 
-def conv1d_backward(cache, grad):
-    """Gradients of a conv1d: (d_input, d_kernels, d_bias)."""
+def conv1d_backward(cache, grad, *, input_grad=True):
+    """Gradients of a conv1d: (d_input, d_kernels, d_bias).
+
+    ``d_kernels`` sums each tap's products over the whole batch in one
+    product.  ``d_input`` sums its taps one sample at a time, as
+    :func:`conv1d_forward` does; with ``input_grad=False`` it is not
+    computed and comes back as ``None``.
+    """
     xp, kernels, padding, in_len, out_len = cache
     grad = np.asarray(grad, dtype=np.float64)
     c_out, c_in, k = kernels.shape
     d_bias = grad.sum(axis=(0, 1))
     d_kernels = np.empty_like(kernels)
-    d_xp = np.zeros_like(xp)
     flat_grad = grad.reshape(-1, c_out)
     for tap in range(k):
         window = xp[:, tap : tap + out_len, :].reshape(-1, c_in)
         d_kernels[:, :, tap] = flat_grad.T @ window
-        d_xp[:, tap : tap + out_len, :] += grad @ kernels[:, :, tap]
+    if not input_grad:
+        return None, d_kernels, d_bias
+    d_xp = np.zeros_like(xp)
+    tmp = np.empty((out_len, c_in))
+    for grad_row, d_row in zip(grad, d_xp):
+        for tap in range(k):
+            np.matmul(grad_row, kernels[:, :, tap], out=tmp)
+            d_row[tap : tap + out_len] += tmp
     if padding == "same":
         pad = (k - 1) // 2
         d_x = d_xp[:, pad : pad + in_len, :]
@@ -121,18 +143,21 @@ def lstm_forward(x, w_in, w_rec, bias, keep_cache=True):
     hidden and cell states are zero.
 
     A batched product writes ``x_t @ w_in`` for a block of steps into a
-    gate buffer; each step adds ``h @ w_rec`` and then ``bias`` to its row
-    in place and computes the gate values from it.  The two modes differ
-    only in where a gate row and a state row live:
+    gate buffer; each step adds ``h @ w_rec`` and then ``bias`` to its
+    [B, 4l] row in place and computes the gate values on that contiguous
+    row: the sigmoid of every column goes back over the row, and the
+    candidate columns are then overwritten with their tanh, taken from the
+    pre-activations into a [B, l] scratch first.  The two modes differ only
+    in how many gate rows and state rows there are:
 
     * ``keep_cache=True`` (training): one product fills a [T, B, 4l] buffer,
-      each step writes its gate values back over its row, and the cell and
-      hidden states of every step are kept (row 0 is the zero initial
-      state).  Returns ``(h, cache)`` for :func:`lstm_backward`.
+      whose rows keep the gate values, and the cell and hidden states of
+      every step are kept (row 0 is the zero initial state).  Returns
+      ``(h, cache)`` for :func:`lstm_backward`.
     * ``keep_cache=False`` (inference): one product per
       ``STREAM_CHUNK`` steps fills a [STREAM_CHUNK, B, 4l] buffer, the
-      states alternate between two rows and nothing is written back.
-      Returns ``(h, None)``.
+      states alternate between two rows and the candidate columns are not
+      written back.  Returns ``(h, None)``.
 
     Every value comes from the same floating-point operations, in the same
     order, as a plain step-by-step loop, so both modes give the same bits.
@@ -149,11 +174,9 @@ def lstm_forward(x, w_in, w_rec, bias, keep_cache=True):
     gates = np.empty((min(chunk, t_steps), b, 4 * units))
     cells = np.zeros((rows, b, units))
     hiddens = np.zeros((rows, b, units))
-    rec = np.empty((b, 4 * units))
-    neg_z, num, den, slots = np.empty((4, 4, b, units))
-    nonneg = np.empty((4, b, units), dtype=bool)
-    ig = np.empty((b, units))
-    gi, gf, gg, go = slots  # the step's gates, one contiguous block each
+    rec, num, den, sign = np.empty((4, b, 4 * units))
+    gg, ig = np.empty((2, b, units))
+    i_cols, f_cols, g_cols, o_cols = (slice(k * units, (k + 1) * units) for k in range(4))
     for t in range(t_steps):
         if t % chunk == 0:
             block = x_steps[t : t + chunk]
@@ -163,26 +186,26 @@ def lstm_forward(x, w_in, w_rec, bias, keep_cache=True):
         np.matmul(hiddens[prev], w_rec, out=rec)
         z += rec
         z += bias_rows
-        z_slots = z.reshape(b, 4, units).transpose(1, 0, 2)
-        # sigmoid of all four slots without overflow: 1 / (1 + e^-z) for
-        # z >= 0, e^z / (1 + e^z) below; then tanh replaces the g slot
-        np.negative(z_slots, out=neg_z)
-        np.minimum(neg_z, z_slots, out=num)
+        # sigmoid without overflow: 1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z)
+        # below.  e^-|z| <= 1, so its maximum with sign(z) is the numerator:
+        # 1 for z > 0, e^-|z| = 1 at z = 0 and e^z for z < 0.
+        np.negative(z, out=sign)
+        np.minimum(sign, z, out=num)
         np.exp(num, out=num)
         np.add(num, 1.0, out=den)
-        np.less_equal(neg_z, 0.0, out=nonneg)
-        np.copyto(num, 1.0, where=nonneg)
-        np.divide(num, den, out=slots)
-        np.tanh(z_slots[2], out=gg)
+        np.sign(z, out=sign)
+        np.maximum(num, sign, out=num)
+        np.tanh(z[:, g_cols], out=gg)
+        np.divide(num, den, out=z)
         if keep_cache:
-            np.copyto(z_slots, slots)
+            z[:, g_cols] = gg
         c = cells[cur]
-        np.multiply(gf, cells[prev], out=c)
-        np.multiply(gi, gg, out=ig)
+        np.multiply(z[:, f_cols], cells[prev], out=c)
+        np.multiply(z[:, i_cols], gg, out=ig)
         c += ig
         h = hiddens[cur]
         np.tanh(c, out=h)
-        h *= go
+        h *= z[:, o_cols]
     cache = (x, w_in, w_rec, gates, cells, hiddens) if keep_cache else None
     return hiddens[t_steps % rows], cache
 

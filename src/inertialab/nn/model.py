@@ -199,7 +199,10 @@ class _RegressionNet:
         g = layers.relu_backward(mask2, grad)
         g, grads["conv2_w"], grads["conv2_b"] = layers.conv1d_backward(cache2, g)
         g = layers.relu_backward(mask1, g)
-        _, grads["conv1_w"], grads["conv1_b"] = layers.conv1d_backward(cache1, g)
+        # nothing upstream of conv1 is trained, so its input gradient is skipped
+        _, grads["conv1_w"], grads["conv1_b"] = layers.conv1d_backward(
+            cache1, g, input_grad=False
+        )
         return grads
 
     def forward(self, batch):

@@ -255,6 +255,20 @@ class TestTrainEval:
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["command"] == "train"
 
+    def test_rerun_writes_identical_files(self, tiny_case, tmp_path, monkeypatch):
+        # the manifest echoes --out, so both runs take the same relative path
+        # from their own working directory
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for run in runs:
+            run.mkdir()
+            monkeypatch.chdir(run)
+            assert self.run_train(tiny_case, "out") == 0
+        names = [sorted(p.name for p in (run / "out").iterdir()) for run in runs]
+        assert names[0] == names[1] and "report.txt" in names[0]
+        for name in names[0]:
+            first, second = ((run / "out" / name).read_bytes() for run in runs)
+            assert first == second, name
+
     def test_train_runs_each_validation_pass_once(self, tiny_case, tmp_path, monkeypatch):
         # one pass per epoch and one with the best parameters; the scatter
         # reuses the last one's predictions
@@ -702,17 +716,3 @@ class TestConfigLayering:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not (tmp_path / "x" / "manifest.json").exists()
-
-    def test_svg_outputs_deterministic(self, tiny_case, tmp_path):
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        args = lambda out: [
-            "train", "--out", str(out), "--set", f'case="{tiny_case}"',
-            "--set", "dataset.h_values=[3.0,5.0,7.0]",
-            "--set", "dataset.amplitudes=[0.001,0.002]",
-            "--set", "train.epochs=2", *TINY_MODEL,
-        ]
-        assert main(args(out_a)) == 0
-        assert main(args(out_b)) == 0
-        for name in ("learning_curve.svg", "scatter.svg", "learning_curve.csv",
-                     "metrics.csv", "scatter.csv"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name

@@ -46,6 +46,71 @@ class TestConv1d:
             layers.conv1d_forward(x, np.zeros((1, 1, 3)), np.zeros(1), "valid")
 
 
+def reference_conv(x, kernels, bias, padding, grad):
+    """The batched per-tap convolution and its backward pass.
+
+    Each tap's product runs over the whole [B, L_out, C_in] window at once.
+    Returns the output and (d_x, d_kernels, d_bias) for the upstream
+    gradient ``grad``.
+    """
+    c_out, c_in, k = kernels.shape
+    pad = (k - 1) // 2 if padding == "same" else 0
+    xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
+    out_len = xp.shape[1] - k + 1
+    out = np.broadcast_to(bias, (x.shape[0], out_len, c_out)).copy()
+    for tap in range(k):
+        out += xp[:, tap : tap + out_len, :] @ kernels[:, :, tap].T
+    d_kernels = np.empty_like(kernels)
+    d_xp = np.zeros_like(xp)
+    flat_grad = grad.reshape(-1, c_out)
+    for tap in range(k):
+        window = xp[:, tap : tap + out_len, :].reshape(-1, c_in)
+        d_kernels[:, :, tap] = flat_grad.T @ window
+        d_xp[:, tap : tap + out_len, :] += grad @ kernels[:, :, tap]
+    return out, (d_xp[:, pad : pad + x.shape[1], :], d_kernels, grad.sum(axis=(0, 1)))
+
+
+def assert_same_bytes(got, want, name):
+    assert got.shape == want.shape, name
+    assert got.tobytes() == want.tobytes(), name
+
+
+class TestConv1dMatchesReference:
+    """The per-sample tap sums give the bits of the batched reference."""
+
+    @staticmethod
+    def case(batch, c_in, padding):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(batch, 300, c_in))
+        kernels = rng.normal(size=(6, c_in, 5))
+        bias = rng.normal(size=6)
+        out_len = 300 if padding == "same" else 296
+        grad = rng.normal(size=(batch, out_len, 6))
+        return x, kernels, bias, grad
+
+    @pytest.mark.parametrize("padding", ["valid", "same"])
+    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize("c_in", [1, 3])
+    def test_forward_and_backward(self, padding, batch, c_in):
+        x, kernels, bias, grad = self.case(batch, c_in, padding)
+        out, cache = layers.conv1d_forward(x, kernels, bias, padding)
+        ref_out, ref_grads = reference_conv(x, kernels, bias, padding, grad)
+        assert_same_bytes(out, ref_out, "out")
+        got = layers.conv1d_backward(cache, grad)
+        for name, a, want in zip(("d_x", "d_kernels", "d_bias"), got, ref_grads):
+            assert_same_bytes(a, want, name)
+
+    @pytest.mark.parametrize("padding", ["valid", "same"])
+    def test_without_input_gradient(self, padding):
+        x, kernels, bias, grad = self.case(5, 3, padding)
+        _, cache = layers.conv1d_forward(x, kernels, bias, padding)
+        d_x, d_kernels, d_bias = layers.conv1d_backward(cache, grad, input_grad=False)
+        assert d_x is None
+        _, (_, ref_kernels, ref_bias) = reference_conv(x, kernels, bias, padding, grad)
+        assert_same_bytes(d_kernels, ref_kernels, "d_kernels")
+        assert_same_bytes(d_bias, ref_bias, "d_bias")
+
+
 class TestRelu:
     def test_all_negative(self):
         out, _ = layers.relu_forward(np.array([[-3.0, -0.5]]))
@@ -90,6 +155,13 @@ LSTM_SHAPES = {
     "short": (5, 20, 1),  # shorter than one chunk
     "chunks": (5, 150, 1),  # two full chunks and a partial one
     "single-row": (1, 150, 1),
+}
+
+# gate values of units 0 and 1 under each sigmoid edge case: (i, f, o) for
+# "zero", (i, f, g, o) for "saturated"
+EDGE_GATE_VALUES = {
+    "zero": [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]],
+    "saturated": [[1.0, 0.0], [1.0, 0.0], [1.0, -1.0], [1.0, 0.0]],
 }
 
 
@@ -173,12 +245,39 @@ class TestLstm:
             d_c = d_c * f
         return hs[-1], (d_x, d_w_in, d_w_rec, d_bias)
 
-    @pytest.mark.parametrize("batch, steps, stride, keep_cache", [
-        pytest.param(*shape, keep_cache, id=name if keep_cache else f"{name}-stream")
-        for keep_cache in (True, False)
-        for name, shape in LSTM_SHAPES.items()
+    @staticmethod
+    def set_edge_gates(edge, w_in, w_rec, bias):
+        """Give units 0 and 1 the pre-activations of one sigmoid edge case.
+
+        "zero": the i, f and o gates of both units have zero weights and
+        zero bias, so their pre-activations are exactly zero while the
+        candidate keeps the cell, and so h, nonzero; unit 1's zeros are
+        -0.0 (the sign survives only on a BLAS that starts each sum from
+        its first product rather than from +0.0).  "saturated": biases of
+        +800 and -800 put every pre-activation of the two units beyond 750
+        in magnitude, where exp(-|z|) underflows to 0.  Returns the columns
+        of the two units, one row per gate set.
+        """
+        units = w_rec.shape[0]
+        gates = (0, 1, 3) if edge == "zero" else (0, 1, 2, 3)
+        cols = np.array([[gate * units + unit for unit in (0, 1)] for gate in gates])
+        for unit, value in ((0, 0.0), (1, -0.0 if edge == "zero" else 0.0)):
+            w_in[:, cols[:, unit]] = value
+            w_rec[:, cols[:, unit]] = value
+        bias[cols] = (0.0, -0.0) if edge == "zero" else (800.0, -800.0)
+        return cols
+
+    @pytest.mark.parametrize("batch, steps, stride, keep_cache, edge", [
+        *(pytest.param(*shape, keep_cache, None,
+                       id=name if keep_cache else f"{name}-stream")
+          for keep_cache in (True, False)
+          for name, shape in LSTM_SHAPES.items()),
+        *(pytest.param(5, 20, 1, keep_cache, edge,
+                       id=f"{edge}-gates" if keep_cache else f"{edge}-gates-stream")
+          for keep_cache in (True, False)
+          for edge in ("zero", "saturated")),
     ])
-    def test_fused_kernel_matches_reference(self, batch, steps, stride, keep_cache):
+    def test_fused_kernel_matches_reference(self, batch, steps, stride, keep_cache, edge):
         rng = np.random.default_rng(5)
         units = 6
         x = rng.normal(size=(batch, steps * stride, 3))[:, ::stride, :]
@@ -186,8 +285,15 @@ class TestLstm:
         w_rec = rng.uniform(-0.6, 0.6, size=(units, 4 * units))
         bias = rng.normal(scale=0.3, size=4 * units)
         grad_h = rng.normal(size=(batch, units))
+        if edge:
+            cols = self.set_edge_gates(edge, w_in, w_rec, bias)
         h, cache = layers.lstm_forward(x, w_in, w_rec, bias, keep_cache=keep_cache)
         if keep_cache:
+            if edge:
+                # the cached gate values show that the edge case was reached
+                acts = cache[3][:, :, cols]
+                want = np.broadcast_to(EDGE_GATE_VALUES[edge], acts.shape)
+                np.testing.assert_array_equal(acts, want)
             got = (h, *layers.lstm_backward(cache, grad_h))
         else:
             assert cache is None
@@ -197,11 +303,12 @@ class TestLstm:
         def plain(z):
             return 1.0 / (1.0 + np.exp(-z))
 
-        ref_h, ref_grads = self.reference_lstm(x, w_in, w_rec, bias, grad_h, plain)
-        for name, a, want in zip(names, got, (ref_h, *ref_grads)):
-            assert a.shape == want.shape, name
-            rel = np.max(np.abs(a - want)) / np.max(np.abs(want))
-            assert rel < 1e-12, (name, rel)
+        if edge is None:
+            ref_h, ref_grads = self.reference_lstm(x, w_in, w_rec, bias, grad_h, plain)
+            for name, a, want in zip(names, got, (ref_h, *ref_grads)):
+                assert a.shape == want.shape, name
+                rel = np.max(np.abs(a - want)) / np.max(np.abs(want))
+                assert rel < 1e-12, (name, rel)
 
         # with the kernel's overflow-free sigmoid the loop gives the same bits,
         # which keeps recorded training curves reproducible
