@@ -383,10 +383,10 @@ _COMMANDS = {
 
 
 def _check_model_fits(command, data, grid, spec, config, plan):
-    """Check the model sizes against the smallest dataset ``command`` trains on:
-    ``data`` when ``train --data`` loaded it, else features x monitored buses x
-    window samples, at one feature for ``select-features`` and at the shorter
-    window for ``compare-windows``."""
+    """Check the split (alone for ``eval``) and the model sizes against the smallest
+    dataset ``command`` splits: ``data`` when ``--data`` loaded it, else features x
+    monitored buses x window samples, at one feature for ``select-features`` and
+    at the shorter window for ``compare-windows``."""
     if data is not None:
         length, n_samples = data.tensor_length, len(data)
     else:
@@ -395,11 +395,16 @@ def _check_model_fits(command, data, grid, spec, config, plan):
         span = min(stop - start for start, stop in windows)
         length = n_features * len(grid.monitored_buses) * round(spec.target_rate * span)
         n_samples = spec.n_samples
+    n_train = round(plan.train_fraction * n_samples)
+    if not 0 < n_train < n_samples:
+        raise ValueError(f"train.train_fraction {plan.train_fraction} leaves an empty training "
+                         f"or validation split of the {n_samples} samples of the {command} data")
+    if command == "eval":
+        return
     if config.kernel_size > length:
         raise ValueError(f"model.kernel_size {config.kernel_size} exceeds the "
                          f"tensor length {length} of the {command} data")
-    n_train = round(plan.train_fraction * n_samples)
-    if 0 < n_train < config.batch_size:
+    if n_train < config.batch_size:
         raise ValueError(f"model.batch_size {config.batch_size} exceeds the "
                          f"{n_train} training samples of the {command} data")
 
@@ -414,7 +419,7 @@ def run_command(cfg, command):
     # the one read of a --data file, before the output directory is taken
     data = Dataset.load(path) if path else None
     values = (data, grid, spec, LrcnConfig(**cfg["model"]), TrainPlan(**cfg["train"]))
-    if command not in ("gen-data", "eval"):
+    if command != "gen-data":
         _check_model_fits(command, *values)
     with _output_dir(cfg) as out:
         extra, summary = _COMMANDS[command](out, cfg, *values)

@@ -16,7 +16,6 @@ import hashlib
 import itertools
 import json
 import math
-import time
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -318,14 +317,15 @@ class DatasetBuilder:
 
 
 def split(dataset, train_fraction, seed):
-    """Seeded shuffle-and-partition into train and validation subsets."""
+    """Seeded shuffle-and-partition into train and validation subsets, neither empty."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train fraction must be in (0, 1), got {train_fraction}")
     n = len(dataset)
-    if n < 2:
-        raise ValueError("need at least 2 samples to split")
-    perm = np.random.default_rng(seed).permutation(n)
     n_train = round(train_fraction * n)
+    if not 0 < n_train < n:
+        raise ValueError(f"train_fraction {train_fraction} leaves an empty training or "
+                         f"validation split of {n} samples")
+    perm = np.random.default_rng(seed).permutation(n)
     return dataset.subset(perm[:n_train]), dataset.subset(perm[n_train:])
 
 
@@ -381,7 +381,6 @@ class TrainReport:
     val_predictions: np.ndarray  # not saved; metrics are computed from it
     best_epoch: int
     best_val_mse: float
-    wall_clock: float  # not saved: it differs on every rerun
     config_fingerprint: str
     dataset_fingerprint: str
 
@@ -427,7 +426,6 @@ def train(config, train_set, val_set, epochs, seed, arch):
     if len(train_set) and config.batch_size > len(train_set):
         raise ValueError("batch size exceeds training-set size")
     config = replace(config, input_len=train_set.tensor_length)
-    started = time.perf_counter()
     model = make_model(arch, config)
     schedule = ReduceLrOnPlateau(
         lr=config.learning_rate,
@@ -487,7 +485,6 @@ def train(config, train_set, val_set, epochs, seed, arch):
         val_predictions=val_predictions,
         best_epoch=best_epoch,
         best_val_mse=model.best_val_mse,
-        wall_clock=time.perf_counter() - started,
         config_fingerprint=config_fingerprint(arch, config, epochs, seed),
         dataset_fingerprint=sha256_hex(train_set.to_bytes()),
     )

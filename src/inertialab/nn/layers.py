@@ -35,17 +35,18 @@ def check_finite(name, array):
     return array
 
 
-def conv1d_forward(x, kernels, bias, padding):
+def conv1d_forward(x, kernels, bias, padding, stride=1):
     """Cross-correlate ``x`` [B, L, C_in] with ``kernels`` [C_out, C_in, K].
 
-    ``padding="valid"`` yields length L-K+1; ``padding="same"`` zero-pads to
-    keep length L (odd K only).
+    ``padding="valid"`` spans L-K+1 positions, ``padding="same"`` zero-pads
+    to span L (odd K only); only positions 0, s, 2s, … of the span are
+    computed at ``stride`` s, so L_out = ceil(span / s).
 
     The taps are summed one sample at a time: each sample's output row
-    starts at ``bias`` and adds each tap's [L_out, C_out] product in tap
-    order, through one [L_out, C_out] scratch that every product reuses.
-    These are the per-sample products that a batched product over the
-    sliced [B, L_out, C_in] input makes, so the sums have the same bits.
+    starts at ``bias`` and adds, in tap order, each tap's product of the
+    step slice ``x_row[tap : tap + span : s]`` through one [L_out, C_out]
+    scratch.  These are the per-sample products that a batched product over
+    the sliced [B, L_out, C_in] input makes, so the sums have the same bits.
     """
     x = check_finite("conv1d", np.asarray(x, dtype=np.float64))
     kernels = np.asarray(kernels, dtype=np.float64)
@@ -53,61 +54,58 @@ def conv1d_forward(x, kernels, bias, padding):
     c_out, c_in, k = kernels.shape
     if x.ndim != 3 or x.shape[2] != c_in:
         raise ValueError(f"expected input [B, L, {c_in}], got {x.shape}")
+    if not isinstance(stride, (int, np.integer)) or stride < 1:
+        raise ValueError(f"stride must be an integer >= 1, got {stride}")
     if padding == "valid":
         if x.shape[1] < k:
             raise ValueError(f"input length {x.shape[1]} below kernel size {k}")
         xp = x
-        out_len = x.shape[1] - k + 1
     elif padding == "same":
         if k % 2 == 0:
             raise ValueError("same padding requires an odd kernel size")
         pad = (k - 1) // 2
         xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
-        out_len = x.shape[1]
     else:
         raise ValueError(f"unknown padding {padding!r}")
 
-    out = np.empty((x.shape[0], out_len, c_out))
-    tmp = np.empty((out_len, c_out))
+    span = xp.shape[1] - k + 1
+    out = np.empty((x.shape[0], -(-span // stride), c_out))
+    tmp = np.empty(out.shape[1:])
     for x_row, out_row in zip(xp, out):
         out_row[...] = bias
         for tap in range(k):
-            np.matmul(x_row[tap : tap + out_len], kernels[:, :, tap].T, out=tmp)
+            np.matmul(x_row[tap : tap + span : stride], kernels[:, :, tap].T, out=tmp)
             out_row += tmp
-    return out, (xp, kernels, padding, x.shape[1], out_len)
+    return out, (xp, kernels, padding, x.shape[1], span, stride)
 
 
 def conv1d_backward(cache, grad, *, input_grad=True):
     """Gradients of a conv1d: (d_input, d_kernels, d_bias).
 
     ``d_kernels`` sums each tap's products over the whole batch in one
-    product.  ``d_input`` sums its taps one sample at a time, as
-    :func:`conv1d_forward` does; with ``input_grad=False`` it is not
-    computed and comes back as ``None``.
+    product.  ``d_input`` sums its taps one sample at a time into the step
+    slices the forward read; with ``input_grad=False`` it is not computed
+    and comes back as ``None``.
     """
-    xp, kernels, padding, in_len, out_len = cache
+    xp, kernels, padding, in_len, span, stride = cache
     grad = np.asarray(grad, dtype=np.float64)
     c_out, c_in, k = kernels.shape
     d_bias = grad.sum(axis=(0, 1))
     d_kernels = np.empty_like(kernels)
     flat_grad = grad.reshape(-1, c_out)
     for tap in range(k):
-        window = xp[:, tap : tap + out_len, :].reshape(-1, c_in)
+        window = xp[:, tap : tap + span : stride, :].reshape(-1, c_in)
         d_kernels[:, :, tap] = flat_grad.T @ window
     if not input_grad:
         return None, d_kernels, d_bias
     d_xp = np.zeros_like(xp)
-    tmp = np.empty((out_len, c_in))
+    tmp = np.empty((grad.shape[1], c_in))
     for grad_row, d_row in zip(grad, d_xp):
         for tap in range(k):
             np.matmul(grad_row, kernels[:, :, tap], out=tmp)
-            d_row[tap : tap + out_len] += tmp
-    if padding == "same":
-        pad = (k - 1) // 2
-        d_x = d_xp[:, pad : pad + in_len, :]
-    else:
-        d_x = d_xp
-    return d_x, d_kernels, d_bias
+            d_row[tap : tap + span : stride] += tmp
+    pad = (k - 1) // 2 if padding == "same" else 0
+    return d_xp[:, pad : pad + in_len, :], d_kernels, d_bias
 
 
 def relu_forward(x):

@@ -42,10 +42,10 @@ LSTM_INIT_SCALE = 0.6
 class LrcnConfig:
     """Architecture and training hyperparameters.
 
-    ``sequence_stride`` subsamples the conv output sequence before the LSTM
-    (1 = full sequence); it exists to keep backpropagation through time
-    affordable in small-scale runs and is a documented deviation knob, not
-    part of the reference architecture.
+    ``sequence_stride`` s evaluates the LRCN's conv2 only at positions 0, s,
+    2s, … (1 = full sequence), so the LSTM reads every s-th step; it exists
+    to keep backpropagation through time affordable in small-scale runs and
+    is a documented deviation knob, not part of the reference architecture.
     """
 
     input_len: int = 4000
@@ -175,7 +175,7 @@ class _RegressionNet:
         params.update(_head_params(rng, config.head_sizes, cls._head_input(config)))
         return cls(config, params)
 
-    def _conv_stack(self, batch):
+    def _conv_stack(self, batch, stride=1):
         cfg = self.config
         batch = np.asarray(batch, dtype=np.float64)
         if batch.ndim != 2 or batch.shape[1] != cfg.input_len:
@@ -188,7 +188,7 @@ class _RegressionNet:
         )
         r1, mask1 = layers.relu_forward(c1)
         c2, cache2 = layers.conv1d_forward(
-            r1, self.params["conv2_w"], self.params["conv2_b"], "same"
+            r1, self.params["conv2_w"], self.params["conv2_b"], "same", stride=stride
         )
         r2, mask2 = layers.relu_forward(c2)
         return r2, (cache1, mask1, cache2, mask2)
@@ -269,32 +269,21 @@ class LrcnModel(_RegressionNet):
         }
 
     def _forward(self, batch, keep_cache):
-        stride = self.config.sequence_stride
-        seq, conv_cache = self._conv_stack(batch)
-        sub = seq[:, ::stride, :]
+        seq, conv_cache = self._conv_stack(batch, stride=self.config.sequence_stride)
         hidden, lstm_cache = layers.lstm_forward(
-            sub, self.params["lstm_w_in"], self.params["lstm_w_rec"], self.params["lstm_b"],
+            seq, self.params["lstm_w_in"], self.params["lstm_w_rec"], self.params["lstm_b"],
             keep_cache=keep_cache,
         )
         pred, head_cache = _head_forward(self.params, len(self.config.head_sizes), hidden)
-        return pred, (conv_cache, seq.shape, lstm_cache, head_cache)
+        return pred, (conv_cache, lstm_cache, head_cache)
 
     def _backward(self, cache, grad_pred):
-        conv_cache, seq_shape, lstm_cache, head_cache = cache
-        stride = self.config.sequence_stride
+        conv_cache, lstm_cache, head_cache = cache
         d_hidden, grads = _head_backward(cache=head_cache,
                                          n_hidden=len(self.config.head_sizes),
                                          grad_out=grad_pred)
-        d_sub, d_w_in, d_w_rec, d_b = layers.lstm_backward(lstm_cache, d_hidden)
-        grads["lstm_w_in"] = d_w_in
-        grads["lstm_w_rec"] = d_w_rec
-        grads["lstm_b"] = d_b
-        # at stride 1 the LSTM saw the whole conv sequence, so d_sub already
-        # has seq_shape and its C layout
-        d_seq = d_sub
-        if stride > 1:
-            d_seq = np.zeros(seq_shape)
-            d_seq[:, ::stride, :] = d_sub
+        d_seq, grads["lstm_w_in"], grads["lstm_w_rec"], grads["lstm_b"] = (
+            layers.lstm_backward(lstm_cache, d_hidden))
         grads.update(self._conv_stack_backward(conv_cache, d_seq))
         return grads
 

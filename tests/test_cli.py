@@ -329,6 +329,10 @@ class TestTrainEval:
         ("train", "model.kernel_size=801", "model.kernel_size"),
         ("select-features", "model.kernel_size=401", "model.kernel_size"),
         ("train", "model.batch_size=6", "model.batch_size"),
+        # fractions that leave the training (0 of 6) or validation side empty
+        ("train", "train.train_fraction=0.05", "train.train_fraction"),
+        ("train", "train.train_fraction=0.95", "train.train_fraction"),
+        ("eval", "train.train_fraction=0.95", "train.train_fraction"),
     ])
     def test_bad_model_value_fails_before_it_writes(self, tiny_case, tmp_path, capsys,
                                                     command, assignment, key):

@@ -142,6 +142,10 @@ class TestSplit:
             split(toy_dataset(n=10), 1.5, seed=0)
         with pytest.raises(ValueError):
             split(toy_dataset(n=1), 0.5, seed=0)
+        # 0.05 * 6 rounds to no training sample, 0.95 * 6 to no validation one
+        for fraction in (0.05, 0.95):
+            with pytest.raises(ValueError, match="train_fraction .* of 6 samples"):
+                split(toy_dataset(n=6), fraction, seed=0)
 
 
 class TestMetrics:

@@ -33,28 +33,41 @@ def trial_rngs():
     return [np.random.default_rng(1000 + k) for k in range(N_TRIALS)]
 
 
-@pytest.mark.parametrize("padding", ["valid", "same"])
-def test_conv1d_gradients(padding):
+def check_conv1d_gradients(padding, stride):
     for rng in trial_rngs():
         x = rng.normal(size=(2, 9, 2))
         kernels = rng.normal(size=(3, 2, 3))
         bias = rng.normal(size=3)
-        out, cache = layers.conv1d_forward(x, kernels, bias, padding)
+        out, cache = layers.conv1d_forward(x, kernels, bias, padding, stride=stride)
         proj = rng.normal(size=out.shape)
         d_x, d_k, d_b = layers.conv1d_backward(cache, proj)
 
         def loss_x(a):
-            return float(np.sum(proj * layers.conv1d_forward(a, kernels, bias, padding)[0]))
+            return float(np.sum(proj * layers.conv1d_forward(a, kernels, bias, padding,
+                                                             stride=stride)[0]))
 
         def loss_k(k):
-            return float(np.sum(proj * layers.conv1d_forward(x, k, bias, padding)[0]))
+            return float(np.sum(proj * layers.conv1d_forward(x, k, bias, padding,
+                                                             stride=stride)[0]))
 
         def loss_b(b):
-            return float(np.sum(proj * layers.conv1d_forward(x, kernels, b, padding)[0]))
+            return float(np.sum(proj * layers.conv1d_forward(x, kernels, b, padding,
+                                                             stride=stride)[0]))
 
         assert max_relative_error(d_x, numeric_gradient(loss_x, x.copy())) < TOL
         assert max_relative_error(d_k, numeric_gradient(loss_k, kernels.copy())) < TOL
         assert max_relative_error(d_b, numeric_gradient(loss_b, bias.copy())) < TOL
+
+
+@pytest.mark.parametrize("padding", ["valid", "same"])
+def test_conv1d_gradients(padding):
+    check_conv1d_gradients(padding, stride=1)
+
+
+@pytest.mark.parametrize("padding", ["valid", "same"])
+def test_strided_conv1d_gradients(padding):
+    # 7 (valid) or 9 (same) positions at stride 2: 4 or 5 output rows
+    check_conv1d_gradients(padding, stride=2)
 
 
 def test_relu_gradients():

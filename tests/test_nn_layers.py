@@ -39,6 +39,12 @@ class TestConv1d:
         with pytest.raises(ValueError):
             layers.conv1d_forward(np.zeros((1, 5, 1)), np.zeros((1, 1, 3)), np.zeros(1), "full")
 
+    @pytest.mark.parametrize("stride", [0, 1.5])
+    def test_bad_stride(self, stride):
+        with pytest.raises(ValueError, match="stride"):
+            layers.conv1d_forward(np.zeros((1, 5, 1)), np.zeros((1, 1, 3)), np.zeros(1),
+                                  "valid", stride=stride)
+
     def test_rejects_non_finite(self):
         x = np.zeros((1, 5, 1))
         x[0, 0, 0] = np.nan
@@ -109,6 +115,23 @@ class TestConv1dMatchesReference:
         _, (_, ref_kernels, ref_bias) = reference_conv(x, kernels, bias, padding, grad)
         assert_same_bytes(d_kernels, ref_kernels, "d_kernels")
         assert_same_bytes(d_bias, ref_bias, "d_bias")
+
+    @pytest.mark.parametrize("padding", ["valid", "same"])
+    @pytest.mark.parametrize("stride", [2, 3])
+    def test_strided_keeps_every_stride_th_row(self, padding, stride):
+        # the output is the full conv's rows 0, s, 2s, ... and the gradients
+        # are the full backward of the zero-filled upstream gradient
+        x, kernels, bias, full_grad = self.case(5, 3, padding)
+        grad = full_grad[:, ::stride]
+        filled = np.zeros_like(full_grad)
+        filled[:, ::stride] = grad
+        out, cache = layers.conv1d_forward(x, kernels, bias, padding, stride=stride)
+        ref_out, ref_grads = reference_conv(x, kernels, bias, padding, filled)
+        assert_same_bytes(out, ref_out[:, ::stride], "out")
+        got = layers.conv1d_backward(cache, grad)
+        for name, a, want in zip(("d_x", "d_kernels", "d_bias"), got, ref_grads):
+            assert a.shape == want.shape, name
+            assert np.abs(a - want).max() <= 1e-13 * np.abs(want).max(), name
 
 
 class TestRelu:
