@@ -45,8 +45,15 @@ def conv1d_forward(x, kernels, bias, padding, stride=1):
     The taps are summed one sample at a time: each sample's output row
     starts at ``bias`` and adds, in tap order, each tap's product of the
     step slice ``x_row[tap : tap + span : s]`` through one [L_out, C_out]
-    scratch.  These are the per-sample products that a batched product over
+    scratch, with each tap's [C_in, C_out] kernel made contiguous once per
+    call.  These are the per-sample products that a batched product over
     the sliced [B, L_out, C_in] input makes, so the sums have the same bits.
+
+    With ``C_in == 1`` a tap's product is one exact multiply per value, so
+    the row is built channel-major instead, [C_out, L_out], with the inner
+    loop along the sequence: tap 0's product, plus the bias, plus each
+    later tap's product, then one transposing copy into the output.  Since
+    ``p0 + bias == bias + p0``, every sum has the bits of the general path.
     """
     x = check_finite("conv1d", np.asarray(x, dtype=np.float64))
     kernels = np.asarray(kernels, dtype=np.float64)
@@ -70,12 +77,27 @@ def conv1d_forward(x, kernels, bias, padding, stride=1):
 
     span = xp.shape[1] - k + 1
     out = np.empty((x.shape[0], -(-span // stride), c_out))
-    tmp = np.empty(out.shape[1:])
-    for x_row, out_row in zip(xp, out):
-        out_row[...] = bias
-        for tap in range(k):
-            np.matmul(x_row[tap : tap + span : stride], kernels[:, :, tap].T, out=tmp)
-            out_row += tmp
+    out_len = out.shape[1]
+    if c_in == 1:
+        bias_cols = np.tile(bias[:, None], (1, out_len))
+        acc, tmp = np.empty((2, c_out, out_len))
+        for x_row, out_row in zip(xp[:, :, 0], out):
+            np.multiply(kernels[:, 0, 0, None], x_row[None, :span:stride], out=acc)
+            acc += bias_cols
+            for tap in range(1, k):
+                np.multiply(kernels[:, 0, tap, None],
+                            x_row[None, tap : tap + span : stride], out=tmp)
+                acc += tmp
+            out_row[...] = acc.T
+    else:
+        tap_kernels = [np.ascontiguousarray(kernels[:, :, tap].T) for tap in range(k)]
+        bias_rows = np.tile(bias, (out_len, 1))
+        tmp = np.empty((out_len, c_out))
+        for x_row, out_row in zip(xp, out):
+            np.copyto(out_row, bias_rows)
+            for tap, tap_kernel in enumerate(tap_kernels):
+                np.matmul(x_row[tap : tap + span : stride], tap_kernel, out=tmp)
+                out_row += tmp
     return out, (xp, kernels, padding, x.shape[1], span, stride)
 
 
@@ -84,7 +106,8 @@ def conv1d_backward(cache, grad, *, input_grad=True):
 
     ``d_kernels`` sums each tap's products over the whole batch in one
     product.  ``d_input`` sums its taps one sample at a time into the step
-    slices the forward read; with ``input_grad=False`` it is not computed
+    slices the forward read, through each tap's [C_out, C_in] kernel made
+    contiguous once per call; with ``input_grad=False`` it is not computed
     and comes back as ``None``.
     """
     xp, kernels, padding, in_len, span, stride = cache
@@ -98,20 +121,26 @@ def conv1d_backward(cache, grad, *, input_grad=True):
         d_kernels[:, :, tap] = flat_grad.T @ window
     if not input_grad:
         return None, d_kernels, d_bias
+    tap_kernels = [np.ascontiguousarray(kernels[:, :, tap]) for tap in range(k)]
     d_xp = np.zeros_like(xp)
     tmp = np.empty((grad.shape[1], c_in))
     for grad_row, d_row in zip(grad, d_xp):
-        for tap in range(k):
-            np.matmul(grad_row, kernels[:, :, tap], out=tmp)
+        for tap, tap_kernel in enumerate(tap_kernels):
+            np.matmul(grad_row, tap_kernel, out=tmp)
             d_row[tap : tap + span : stride] += tmp
     pad = (k - 1) // 2 if padding == "same" else 0
     return d_xp[:, pad : pad + in_len, :], d_kernels, d_bias
 
 
 def relu_forward(x):
+    """``max(x, 0)`` in one pass, and the mask ``out > 0`` as the cache.
+
+    A negative input maps to +0.0.  The mask gives the subgradient 0 at
+    exactly 0.
+    """
     x = check_finite("relu", np.asarray(x, dtype=np.float64))
-    mask = x > 0  # subgradient 0 at exactly 0
-    return x * mask, mask
+    out = np.maximum(x, 0.0)
+    return out, out > 0
 
 
 def relu_backward(cache, grad):

@@ -64,13 +64,18 @@ class LrcnConfig:
     sequence_stride: int = 1
 
     def __post_init__(self):
-        sizes = {name: getattr(self, name) for name in (
-            "input_len", "conv1_channels", "conv2_channels", "kernel_size",
-            "lstm_units", "batch_size", "sequence_stride")}
+        names = ("input_len", "conv1_channels", "conv2_channels", "kernel_size",
+                 "lstm_units", "batch_size", "sequence_stride")
+        sizes = {name: getattr(self, name) for name in names}
         sizes.update((f"head_sizes[{i}]", s) for i, s in enumerate(self.head_sizes))
         for name, size in sizes.items():
-            if int(size) != size or size < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {size}")
+            # a float size would fail only inside a layer; bool is an int subclass
+            if not isinstance(size, (int, np.integer)) or isinstance(size, bool) or size < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
+        # numpy integers are stored as int, so the config stays JSON-serializable
+        for name in names:
+            object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "head_sizes", tuple(map(int, self.head_sizes)))
         if self.input_len < self.kernel_size:
             raise ValueError("input length below kernel size")
         if self.kernel_size % 2 == 0:  # the "same" conv pads (k - 1) / 2 on each side
@@ -82,7 +87,6 @@ class LrcnConfig:
         for name in ("lr_patience", "lr_min", "lr_threshold", "seed"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        object.__setattr__(self, "head_sizes", tuple(self.head_sizes))
 
     @property
     def conv_output_len(self):

@@ -67,6 +67,7 @@ BAD_CHECKPOINT_HEADERS = (
     {"arch": "lrcn", "config": {"lstm_unitz": 4}},
     {"arch": "lrcn", "config": {"head_sizes": 5}},
     {"arch": "lrcn", "config": {"learning_rate": "x"}},
+    {"arch": "lrcn", "config": {"sequence_stride": 8.0}},
 )
 
 
@@ -161,6 +162,8 @@ class TestGenData:
         ("model.lr_min=-1.0", "lr_min"),
         ("model.lr_threshold=-1.0", "lr_threshold"),
         ("model.seed=-1", "seed"),
+        ("model.sequence_stride=8.0", "sequence_stride"),
+        ("model.head_sizes=[64.0,16]", "head_sizes"),
     ])
     def test_bad_grid_exit_code(self, tiny_case, tmp_path, capsys, assignment, key):
         out = tmp_path / "run"

@@ -117,21 +117,35 @@ class TestConv1dMatchesReference:
         assert_same_bytes(d_bias, ref_bias, "d_bias")
 
     @pytest.mark.parametrize("padding", ["valid", "same"])
+    def test_single_channel_view_input(self, padding):
+        # conv1 reads a [B, L, 1] view of the batch; here a non-contiguous one
+        _, kernels, bias, _ = self.case(1, 1, padding)
+        batch = np.random.default_rng(8).normal(size=(9, 320))[:, 10:310]
+        view = batch[1:8:3][:, :, None]
+        assert view.shape == (3, 300, 1) and not view.flags.c_contiguous
+        out, _ = layers.conv1d_forward(view, kernels, bias, padding)
+        ref_out, _ = reference_conv(view, kernels, bias, padding,
+                                    np.zeros((3, out.shape[1], 6)))
+        assert_same_bytes(out, ref_out, "out")
+
+    @pytest.mark.parametrize("padding", ["valid", "same"])
     @pytest.mark.parametrize("stride", [2, 3])
     def test_strided_keeps_every_stride_th_row(self, padding, stride):
         # the output is the full conv's rows 0, s, 2s, ... and the gradients
-        # are the full backward of the zero-filled upstream gradient
-        x, kernels, bias, full_grad = self.case(5, 3, padding)
-        grad = full_grad[:, ::stride]
-        filled = np.zeros_like(full_grad)
-        filled[:, ::stride] = grad
-        out, cache = layers.conv1d_forward(x, kernels, bias, padding, stride=stride)
-        ref_out, ref_grads = reference_conv(x, kernels, bias, padding, filled)
-        assert_same_bytes(out, ref_out[:, ::stride], "out")
-        got = layers.conv1d_backward(cache, grad)
-        for name, a, want in zip(("d_x", "d_kernels", "d_bias"), got, ref_grads):
-            assert a.shape == want.shape, name
-            assert np.abs(a - want).max() <= 1e-13 * np.abs(want).max(), name
+        # are the full backward of the zero-filled upstream gradient; c_in = 1
+        # runs the single-channel path, c_in = 3 the general one
+        for c_in in (1, 3):
+            x, kernels, bias, full_grad = self.case(5, c_in, padding)
+            grad = full_grad[:, ::stride]
+            filled = np.zeros_like(full_grad)
+            filled[:, ::stride] = grad
+            out, cache = layers.conv1d_forward(x, kernels, bias, padding, stride=stride)
+            ref_out, ref_grads = reference_conv(x, kernels, bias, padding, filled)
+            assert_same_bytes(out, ref_out[:, ::stride], f"out, c_in={c_in}")
+            got = layers.conv1d_backward(cache, grad)
+            for name, a, want in zip(("d_x", "d_kernels", "d_bias"), got, ref_grads):
+                assert a.shape == want.shape, (name, c_in)
+                assert np.abs(a - want).max() <= 1e-13 * np.abs(want).max(), (name, c_in)
 
 
 class TestRelu:
@@ -151,6 +165,32 @@ class TestRelu:
     def test_subgradient_zero_at_zero(self):
         _, mask = layers.relu_forward(np.array([0.0]))
         np.testing.assert_array_equal(layers.relu_backward(mask, np.array([5.0])), [0.0])
+
+    @staticmethod
+    def mixed_input():
+        # no -0.0: IEEE 754 leaves the sign of max(-0.0, 0.0) open
+        x = np.random.default_rng(4).normal(size=(3, 50, 4))
+        x[0, :4, 0] = [0.0, 5e-324, -5e-324, -1e308]
+        return x
+
+    def test_input_unchanged(self):
+        x = self.mixed_input()
+        before = x.copy()
+        layers.relu_forward(x)
+        assert x.tobytes() == before.tobytes()
+
+    def test_mask_is_positive_output(self):
+        out, mask = layers.relu_forward(self.mixed_input())
+        assert mask.dtype == bool
+        np.testing.assert_array_equal(mask, out > 0)
+
+    def test_non_positive_inputs_give_positive_zero(self):
+        x = self.mixed_input()
+        out, _ = layers.relu_forward(x)
+        zeros = out[x <= 0]
+        assert zeros.size > 0
+        assert np.all(zeros == 0.0) and not np.any(np.signbit(zeros))
+        assert out[x > 0].tobytes() == x[x > 0].tobytes()
 
 
 class TestDense:

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from inertialab.nn import layers
-from inertialab.nn.model import CnnModel, LrcnConfig, LrcnModel, load_model, make_model
+from inertialab.nn.model import (CnnModel, LrcnConfig, LrcnModel, _head_backward,
+                                 _head_forward, load_model, make_model)
 from inertialab.nn.schedule import ReduceLrOnPlateau
+from test_nn_layers import reference_conv
 
 SMALL = LrcnConfig(
     input_len=120,
@@ -55,6 +57,20 @@ class TestStructure:
         (name,) = kw
         with pytest.raises(ValueError, match=name):
             LrcnConfig(**kw)
+
+    @pytest.mark.parametrize("kw", [
+        dict(sequence_stride=8.0), dict(sequence_stride=True), dict(head_sizes=(64.0, 16)),
+        dict(input_len=4000.0), dict(kernel_size=True), dict(batch_size="32"),
+    ])
+    def test_config_rejects_non_integer_sizes(self, kw):
+        (name,) = kw
+        with pytest.raises(ValueError, match=name):
+            LrcnConfig(**kw)
+
+    def test_config_accepts_numpy_integer_sizes(self):
+        cfg = LrcnConfig(sequence_stride=np.int64(8), head_sizes=(np.int32(64), 16))
+        assert cfg == LrcnConfig(sequence_stride=8)
+        assert type(cfg.sequence_stride) is int and type(cfg.head_sizes[0]) is int
 
     def test_config_edge_values_accepted(self):
         cfg = LrcnConfig(lr_factor=1.0, lr_patience=0, lr_min=0.0, lr_threshold=0.0)
@@ -120,6 +136,60 @@ class TestForward:
         model = make_model("lrcn", SMALL)
         with pytest.raises(ValueError):
             model.forward(np.zeros((2, SMALL.input_len + 1)))
+
+
+def reference_relu(x):
+    """The multiplying ReLU: a negative input gives -0.0."""
+    mask = x > 0
+    return x * mask, mask
+
+
+def reference_pass(model, batch, targets):
+    """(predictions, loss, grads) through a front end of ``reference_conv``
+    and ``reference_relu``, then the library's own LSTM and head."""
+    p, n_hidden = model.params, len(model.config.head_sizes)
+    x = batch[:, :, None]
+    out_len = model.config.conv_output_len
+    no_grad = [np.zeros((len(batch), out_len, p[f"conv{i}_w"].shape[0])) for i in (1, 2)]
+    c1, _ = reference_conv(x, p["conv1_w"], p["conv1_b"], "valid", no_grad[0])
+    r1, mask1 = reference_relu(c1)
+    c2, _ = reference_conv(r1, p["conv2_w"], p["conv2_b"], "same", no_grad[1])
+    r2, mask2 = reference_relu(c2)
+    if model.arch == "lrcn":
+        head_in, lstm_cache = layers.lstm_forward(
+            r2, p["lstm_w_in"], p["lstm_w_rec"], p["lstm_b"])
+    else:
+        head_in = r2.reshape(len(batch), -1)
+    pred, head_cache = _head_forward(p, n_hidden, head_in)
+    loss = layers.mse(targets, pred)
+    d_in, grads = _head_backward(head_cache, n_hidden, layers.mse_gradient(targets, pred))
+    if model.arch == "lrcn":
+        d_r2, grads["lstm_w_in"], grads["lstm_w_rec"], grads["lstm_b"] = (
+            layers.lstm_backward(lstm_cache, d_in))
+    else:
+        d_r2 = d_in.reshape(r2.shape)
+    _, (d_r1, grads["conv2_w"], grads["conv2_b"]) = reference_conv(
+        r1, p["conv2_w"], p["conv2_b"], "same", d_r2 * mask2)
+    _, (_, grads["conv1_w"], grads["conv1_b"]) = reference_conv(
+        x, p["conv1_w"], p["conv1_b"], "valid", d_r1 * mask1)
+    return pred, loss, grads
+
+
+@pytest.mark.parametrize("arch", ["cnn", "lrcn"])
+def test_training_pass_matches_reference_front_end_bytes(arch):
+    # stride 1: the reference conv evaluates every row
+    config = replace(SMALL, input_len=200, sequence_stride=1)
+    model = make_model(arch, config)
+    rng = np.random.default_rng(9)
+    batch = rng.uniform(-1.0, 1.0, size=(4, config.input_len))
+    targets = rng.uniform(3.0, 8.0, size=4)
+    pred, loss, grads = model.forward_backward(batch, targets)
+    ref_pred, ref_loss, ref_grads = reference_pass(model, batch, targets)
+    assert pred.tobytes() == ref_pred.tobytes()
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    assert sorted(grads) == sorted(ref_grads) == sorted(model.params)
+    for name, grad in grads.items():
+        assert grad.tobytes() == ref_grads[name].tobytes(), name
 
 
 class TestCheckpoint:
