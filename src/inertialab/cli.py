@@ -264,7 +264,7 @@ def _train(out, cfg, data, grid, spec, config, plan):
     model, report, val_set = plan.fit(config, dataset)
     model.save(out / "model.bin")
     stamp = _stamp(cfg)
-    report.save(out / "report.txt")
+    report.save(out / "report.txt", stamp)
     plots.write_csv(out / "learning_curve.csv", ("epoch", "train_mse", "val_mse", "lr"),
                     report.curve_rows(), comment=stamp)
     plots.write_line_svg(
@@ -304,7 +304,7 @@ def _write_arms(out, stamp, name, column, arms, report_prefix, title):
     series = {}
     for label, report in arms.items():
         series[f"val {label}"] = _curve(report.val_curve)
-        report.save(out / f"{report_prefix}{label}.txt")
+        report.save(out / f"{report_prefix}{label}.txt", stamp)
     plots.write_line_svg(
         out / f"{name}.svg", series,
         title=title, xlabel="epoch", ylabel="mse", comment=stamp,

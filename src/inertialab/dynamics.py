@@ -40,6 +40,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .checks import integer_at_least
+
 __all__ = [
     "ProbingSignal",
     "SimConfig",
@@ -89,8 +91,7 @@ class ProbingSignal:
             raise ValueError("probe start must be >= 0")
         if self.kind == "prbs" and self.prbs_chip <= 0:
             raise ValueError("prbs chip length must be > 0")
-        if self.seed < 0:
-            raise ValueError(f"probe seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", integer_at_least("probe seed", self.seed, 0))
 
 
 @functools.lru_cache(maxsize=64)

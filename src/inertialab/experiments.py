@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from .checks import integer_at_least
 from .dynamics import (
     InstabilityError,
     PmuRecordSet,
@@ -66,7 +66,6 @@ __all__ = [
     "wrapper_feature_selection",
     "exhaustive_subset_scores",
     "sha256_hex",
-    "config_fingerprint",
 ]
 
 
@@ -140,8 +139,7 @@ class DatasetSpec:
             raise ValueError(f"amplitudes must be finite and >= 0, got {list(self.amplitudes)}")
         if not -math.inf < self.snr_db <= math.inf:  # +inf turns noise off; NaN fails
             raise ValueError(f"snr_db must be a number or +inf, got {self.snr_db}")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        object.__setattr__(self, "base_seed", integer_at_least("base_seed", self.base_seed, 0))
 
     @property
     def n_samples(self):
@@ -150,20 +148,6 @@ class DatasetSpec:
 
 def sha256_hex(data):
     return hashlib.sha256(data).hexdigest()
-
-
-def config_fingerprint(arch, config, epochs, train_seed, split_seed=None):
-    payload = {
-        "arch": arch,
-        "config": {
-            k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in vars(config).items()
-        },
-        "epochs": epochs,
-        "train_seed": train_seed,
-        "split_seed": split_seed,
-    }
-    return sha256_hex(json.dumps(payload, sort_keys=True).encode())
 
 
 def _cell_seed(base_seed, h_index, amp_index):
@@ -381,21 +365,21 @@ class TrainReport:
     val_predictions: np.ndarray  # not saved; metrics are computed from it
     best_epoch: int
     best_val_mse: float
-    config_fingerprint: str
     dataset_fingerprint: str
 
     def curve_rows(self):
         """Per-epoch ``(epoch, train_mse, val_mse, lr)`` rows."""
         return list(zip(itertools.count(1), self.train_curve, self.val_curve, self.lr_trace))
 
-    def save(self, path):
+    def save(self, path, stamp):
+        """Write the report; ``stamp`` is the run's config-fingerprint line."""
         lines = [
             "INERTIA-REPORT v1",
             f"arch {self.arch}",
             f"epochs {self.epochs}",
             f"best_epoch {self.best_epoch}",
             f"best_val_mse {self.best_val_mse!r}",
-            f"config_fingerprint {self.config_fingerprint}",
+            stamp,
             f"dataset_fingerprint {self.dataset_fingerprint}",
             f"final_mse {self.metrics.mse!r}",
             f"final_r2 {self.metrics.r2!r}",
@@ -485,7 +469,6 @@ def train(config, train_set, val_set, epochs, seed, arch):
         val_predictions=val_predictions,
         best_epoch=best_epoch,
         best_val_mse=model.best_val_mse,
-        config_fingerprint=config_fingerprint(arch, config, epochs, seed),
         dataset_fingerprint=sha256_hex(train_set.to_bytes()),
     )
     return model, report
@@ -520,8 +503,7 @@ class TrainPlan:
         if not 0.0 < self.train_fraction < 1.0:  # NaN fails too
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         for name in ("epochs", "split_seed", "train_seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            object.__setattr__(self, name, integer_at_least(name, getattr(self, name), 0))
         if not self.cnn_learning_rate > 0:  # NaN fails too
             raise ValueError(f"cnn_learning_rate must be > 0, got {self.cnn_learning_rate}")
         object.__setattr__(self, "snr_levels", tuple(float(s) for s in self.snr_levels))

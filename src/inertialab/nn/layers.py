@@ -3,7 +3,9 @@
 Everything is float64 and batch-first.  Each ``*_forward`` returns the
 output plus an opaque cache; the matching ``*_backward`` consumes the cache
 and the upstream gradient and returns gradients for the inputs and
-parameters.  Non-finite values are rejected at layer boundaries.
+parameters.  The ReLU is the exception: it rectifies its input in place and
+returns no cache, and ``relu_backward`` reads the mask from that output and
+overwrites ``grad``.  Non-finite values are rejected at layer boundaries.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ def conv1d_forward(x, kernels, bias, padding, stride=1):
     loop along the sequence: tap 0's product, plus the bias, plus each
     later tap's product, then one transposing copy into the output.  Since
     ``p0 + bias == bias + p0``, every sum has the bits of the general path.
+
+    Element 0 of the cache is the input as the taps read it, zero-padded
+    for ``"same"``; the model reads its ReLU output back from there.
     """
     x = check_finite("conv1d", np.asarray(x, dtype=np.float64))
     kernels = np.asarray(kernels, dtype=np.float64)
@@ -133,18 +138,18 @@ def conv1d_backward(cache, grad, *, input_grad=True):
 
 
 def relu_forward(x):
-    """``max(x, 0)`` in one pass, and the mask ``out > 0`` as the cache.
+    """``max(x, 0)`` written over ``x``, which is returned; there is no cache.
 
-    A negative input maps to +0.0.  The mask gives the subgradient 0 at
-    exactly 0.
+    A negative input maps to +0.0.  The backward reads the mask from this
+    output, or an array with its bits; the subgradient at exactly 0 is 0.
     """
     x = check_finite("relu", np.asarray(x, dtype=np.float64))
-    out = np.maximum(x, 0.0)
-    return out, out > 0
+    return np.maximum(x, 0.0, out=x)
 
 
-def relu_backward(cache, grad):
-    return grad * cache
+def relu_backward(out, grad):
+    """``grad * (out > 0)`` written over ``grad``, which is returned."""
+    return np.multiply(grad, out > 0, out=grad)
 
 
 def dense_forward(x, weights, bias):

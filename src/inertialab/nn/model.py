@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from ..checks import integer_at_least
 from . import layers
 
 __all__ = ["LrcnConfig", "LrcnModel", "CnnModel", "make_model", "load_model",
@@ -64,18 +65,13 @@ class LrcnConfig:
     sequence_stride: int = 1
 
     def __post_init__(self):
-        names = ("input_len", "conv1_channels", "conv2_channels", "kernel_size",
-                 "lstm_units", "batch_size", "sequence_stride")
-        sizes = {name: getattr(self, name) for name in names}
-        sizes.update((f"head_sizes[{i}]", s) for i, s in enumerate(self.head_sizes))
-        for name, size in sizes.items():
-            # a float size would fail only inside a layer; bool is an int subclass
-            if not isinstance(size, (int, np.integer)) or isinstance(size, bool) or size < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
-        # numpy integers are stored as int, so the config stays JSON-serializable
-        for name in names:
-            object.__setattr__(self, name, int(getattr(self, name)))
-        object.__setattr__(self, "head_sizes", tuple(map(int, self.head_sizes)))
+        for name in ("input_len", "conv1_channels", "conv2_channels", "kernel_size",
+                     "lstm_units", "batch_size", "sequence_stride"):
+            object.__setattr__(self, name, integer_at_least(name, getattr(self, name), 1))
+        object.__setattr__(self, "head_sizes", tuple(
+            integer_at_least(f"head_sizes[{i}]", s, 1) for i, s in enumerate(self.head_sizes)))
+        for name in ("seed", "lr_patience"):
+            object.__setattr__(self, name, integer_at_least(name, getattr(self, name), 0))
         if self.input_len < self.kernel_size:
             raise ValueError("input length below kernel size")
         if self.kernel_size % 2 == 0:  # the "same" conv pads (k - 1) / 2 on each side
@@ -84,7 +80,7 @@ class LrcnConfig:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not 0 < self.lr_factor <= 1:
             raise ValueError(f"lr_factor must be in (0, 1], got {self.lr_factor}")
-        for name in ("lr_patience", "lr_min", "lr_threshold", "seed"):
+        for name in ("lr_min", "lr_threshold"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
@@ -123,26 +119,23 @@ def _head_params(rng, sizes, in_dim):
 def _head_forward(params, n_hidden, x):
     caches = []
     for idx in range(1, n_hidden + 1):
-        x, dense_cache = layers.dense_forward(
-            x, params[f"head{idx}_w"], params[f"head{idx}_b"]
-        )
-        x, relu_cache = layers.relu_forward(x)
-        caches.append((dense_cache, relu_cache))
-    out, out_cache = layers.dense_forward(x, params["out_w"], params["out_b"])
-    return out[:, 0], (caches, out_cache)
+        x, cache = layers.dense_forward(x, params[f"head{idx}_w"], params[f"head{idx}_b"])
+        caches.append(cache)
+        x = layers.relu_forward(x)
+    out, cache = layers.dense_forward(x, params["out_w"], params["out_b"])
+    caches.append(cache)
+    return out[:, 0], caches
 
 
-def _head_backward(cache, n_hidden, grad_out):
-    caches, out_cache = cache
+def _head_backward(caches, n_hidden, grad_out):
     grads = {}
-    g, grads["out_w"], grads["out_b"] = layers.dense_backward(
-        out_cache, grad_out[:, None]
-    )
+    g, grads["out_w"], grads["out_b"] = layers.dense_backward(caches[-1], grad_out[:, None])
     for idx in range(n_hidden, 0, -1):
-        dense_cache, relu_cache = caches[idx - 1]
-        g = layers.relu_backward(relu_cache, g)
+        # a hidden ReLU's output is the input the next dense layer keeps, and
+        # dense_backward's product is fresh, so the ReLU may overwrite it
+        g = layers.relu_backward(caches[idx][0], g)
         g, grads[f"head{idx}_w"], grads[f"head{idx}_b"] = layers.dense_backward(
-            dense_cache, g
+            caches[idx - 1], g
         )
     return g, grads
 
@@ -186,23 +179,22 @@ class _RegressionNet:
             raise ValueError(
                 f"expected batch [B, {cfg.input_len}], got {batch.shape}"
             )
-        x = batch[:, :, None]
-        c1, cache1 = layers.conv1d_forward(
-            x, self.params["conv1_w"], self.params["conv1_b"], "valid"
-        )
-        r1, mask1 = layers.relu_forward(c1)
+        p = self.params
+        c1, cache1 = layers.conv1d_forward(batch[:, :, None], p["conv1_w"], p["conv1_b"], "valid")
         c2, cache2 = layers.conv1d_forward(
-            r1, self.params["conv2_w"], self.params["conv2_b"], "same", stride=stride
-        )
-        r2, mask2 = layers.relu_forward(c2)
-        return r2, (cache1, mask1, cache2, mask2)
+            layers.relu_forward(c1), p["conv2_w"], p["conv2_b"], "same", stride=stride)
+        out = layers.relu_forward(c2)
+        return out, (cache1, cache2, out)
 
     def _conv_stack_backward(self, cache, grad):
-        cache1, mask1, cache2, mask2 = cache
+        """Conv parameter gradients; ``grad``, a fresh array, is overwritten."""
+        cache1, cache2, out = cache
         grads = {}
-        g = layers.relu_backward(mask2, grad)
+        g = layers.relu_backward(out, grad)
         g, grads["conv2_w"], grads["conv2_b"] = layers.conv1d_backward(cache2, g)
-        g = layers.relu_backward(mask1, g)
+        # relu1's output is the interior of conv2's zero-padded input
+        pad = (self.config.kernel_size - 1) // 2
+        g = layers.relu_backward(cache2[0][:, pad : pad + self.config.conv_output_len], g)
         # nothing upstream of conv1 is trained, so its input gradient is skipped
         _, grads["conv1_w"], grads["conv1_b"] = layers.conv1d_backward(
             cache1, g, input_grad=False
@@ -283,9 +275,7 @@ class LrcnModel(_RegressionNet):
 
     def _backward(self, cache, grad_pred):
         conv_cache, lstm_cache, head_cache = cache
-        d_hidden, grads = _head_backward(cache=head_cache,
-                                         n_hidden=len(self.config.head_sizes),
-                                         grad_out=grad_pred)
+        d_hidden, grads = _head_backward(head_cache, len(self.config.head_sizes), grad_pred)
         d_seq, grads["lstm_w_in"], grads["lstm_w_rec"], grads["lstm_b"] = (
             layers.lstm_backward(lstm_cache, d_hidden))
         grads.update(self._conv_stack_backward(conv_cache, d_seq))
@@ -314,9 +304,7 @@ class CnnModel(_RegressionNet):
 
     def _backward(self, cache, grad_pred):
         conv_cache, seq_shape, head_cache = cache
-        d_flat, grads = _head_backward(cache=head_cache,
-                                       n_hidden=len(self.config.head_sizes),
-                                       grad_out=grad_pred)
+        d_flat, grads = _head_backward(head_cache, len(self.config.head_sizes), grad_pred)
         grads.update(self._conv_stack_backward(conv_cache, d_flat.reshape(seq_shape)))
         return grads
 

@@ -258,6 +258,14 @@ class TestTrainEval:
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["command"] == "train"
 
+    def test_report_stamp_is_the_manifest_fingerprint(self, tiny_case, tmp_path):
+        out = tmp_path / "run"
+        assert self.run_train(tiny_case, out) == 0
+        want = json.loads((out / "manifest.json").read_text())["config_fingerprint"]
+        report = (out / "report.txt").read_text().splitlines()
+        assert f"config_fingerprint {want}" in report
+        assert want in (out / "learning_curve.csv").read_text().splitlines()[0]
+
     def test_rerun_writes_identical_files(self, tiny_case, tmp_path, monkeypatch):
         # the manifest echoes --out, so both runs take the same relative path
         # from their own working directory
@@ -576,6 +584,9 @@ class TestComparisons:
         ]
         assert rows[0] == "model,accuracy,r2,mse"
         assert {r.split(",")[0] for r in rows[1:]} == {"lrcn", "cnn"}
+        want = json.loads((out / "manifest.json").read_text())["config_fingerprint"]
+        for arch in ("lrcn", "cnn"):
+            assert f"config_fingerprint {want}" in (out / f"report_{arch}.txt").read_text()
 
     def test_compare_models_honours_train_fraction(self, tiny_case, tmp_path):
         def rows(out, *extra):

@@ -101,6 +101,8 @@ class TestProbeWaveform:
             ProbingSignal(duration=0.0)
         with pytest.raises(ValueError, match="seed"):
             ProbingSignal(seed=-1)
+        with pytest.raises(ValueError, match="probe seed"):
+            ProbingSignal(seed=0.5)
 
 
 class TestSwingRhs:

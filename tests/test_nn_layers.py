@@ -150,21 +150,21 @@ class TestConv1dMatchesReference:
 
 class TestRelu:
     def test_all_negative(self):
-        out, _ = layers.relu_forward(np.array([[-3.0, -0.5]]))
+        out = layers.relu_forward(np.array([[-3.0, -0.5]]))
         assert np.all(out == 0.0)
 
     def test_non_negative_identity(self):
         x = np.array([[0.0, 1.0, 7.5]])
-        out, _ = layers.relu_forward(x)
+        out = layers.relu_forward(x.copy())
         np.testing.assert_array_equal(out, x)
 
     def test_mixed(self):
-        out, _ = layers.relu_forward(np.array([-1.0, 0.0, 2.0]))
+        out = layers.relu_forward(np.array([-1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(out, [0.0, 0.0, 2.0])
 
     def test_subgradient_zero_at_zero(self):
-        _, mask = layers.relu_forward(np.array([0.0]))
-        np.testing.assert_array_equal(layers.relu_backward(mask, np.array([5.0])), [0.0])
+        grad = layers.relu_backward(np.array([0.0]), np.array([5.0]))
+        np.testing.assert_array_equal(grad, [0.0])
 
     @staticmethod
     def mixed_input():
@@ -173,20 +173,31 @@ class TestRelu:
         x[0, :4, 0] = [0.0, 5e-324, -5e-324, -1e308]
         return x
 
-    def test_input_unchanged(self):
+    def test_rectifies_in_place(self):
         x = self.mixed_input()
+        assert layers.relu_forward(x) is x
+
+    def test_non_finite_input_left_untouched(self):
+        x = self.mixed_input()
+        x[2, 10, 3] = np.nan
         before = x.copy()
-        layers.relu_forward(x)
+        with pytest.raises(FloatingPointError, match="entering relu"):
+            layers.relu_forward(x)
         assert x.tobytes() == before.tobytes()
 
     def test_mask_is_positive_output(self):
-        out, mask = layers.relu_forward(self.mixed_input())
-        assert mask.dtype == bool
-        np.testing.assert_array_equal(mask, out > 0)
+        # the backward derives its mask from the output, and overwrites grad
+        out = layers.relu_forward(self.mixed_input())
+        grad = np.random.default_rng(5).normal(size=out.shape)
+        grad[0, :4, 0] = -1.0  # a negative gradient on each zero output gives -0.0
+        want = grad.copy() * (out > 0)
+        assert layers.relu_backward(out, grad) is grad
+        assert grad.tobytes() == want.tobytes()
+        assert np.signbit(grad[0, 0, 0]) and grad[0, 1, 0] == -1.0
 
     def test_non_positive_inputs_give_positive_zero(self):
         x = self.mixed_input()
-        out, _ = layers.relu_forward(x)
+        out = layers.relu_forward(x.copy())
         zeros = out[x <= 0]
         assert zeros.size > 0
         assert np.all(zeros == 0.0) and not np.any(np.signbit(zeros))

@@ -61,6 +61,7 @@ class TestStructure:
     @pytest.mark.parametrize("kw", [
         dict(sequence_stride=8.0), dict(sequence_stride=True), dict(head_sizes=(64.0, 16)),
         dict(input_len=4000.0), dict(kernel_size=True), dict(batch_size="32"),
+        dict(seed=1.5), dict(lr_patience=2.5), dict(seed=True),
     ])
     def test_config_rejects_non_integer_sizes(self, kw):
         (name,) = kw
