@@ -92,6 +92,9 @@ class ProbingSignal:
         if self.kind == "prbs" and self.prbs_chip <= 0:
             raise ValueError("prbs chip length must be > 0")
         object.__setattr__(self, "seed", integer_at_least("probe seed", self.seed, 0))
+        if self.injection_bus is not None:
+            object.__setattr__(self, "injection_bus", integer_at_least(
+                "probe injection_bus", self.injection_bus, 0))
 
 
 @functools.lru_cache(maxsize=64)

@@ -29,6 +29,8 @@ __all__ = [
 
 # Steps whose input products share one GEMM when no backward cache is kept.
 STREAM_CHUNK = 64
+# Elements per slice of an SGD update: a 512 KB temporary.
+SGD_CHUNK = 1 << 16
 
 
 def check_finite(name, array):
@@ -110,31 +112,44 @@ def conv1d_backward(cache, grad, *, input_grad=True):
     """Gradients of a conv1d: (d_input, d_kernels, d_bias).
 
     ``d_kernels`` sums each tap's products over the whole batch in one
-    product.  ``d_input`` sums its taps one sample at a time into the step
-    slices the forward read, through each tap's [C_out, C_in] kernel made
-    contiguous once per call; with ``input_grad=False`` it is not computed
-    and comes back as ``None``.
+    product, with the tap's window copied into one reused [B, L_out, C_in]
+    buffer.  ``d_input`` is a new C-contiguous [B, L, C_in] array: its taps
+    are summed one sample at a time into the rows the forward read, through
+    each tap's [C_out, C_in] kernel made contiguous once per call, and a
+    product row that the forward read from the zero padding is dropped.
+    Each kept row gets the adds of the padded buffer, in the same order.
+    With ``input_grad=False`` it is not computed and comes back as ``None``.
     """
     xp, kernels, padding, in_len, span, stride = cache
     grad = np.asarray(grad, dtype=np.float64)
     c_out, c_in, k = kernels.shape
+    batch, out_len = grad.shape[:2]
     d_bias = grad.sum(axis=(0, 1))
     d_kernels = np.empty_like(kernels)
     flat_grad = grad.reshape(-1, c_out)
+    window = np.empty((batch, out_len, c_in))
     for tap in range(k):
-        window = xp[:, tap : tap + span : stride, :].reshape(-1, c_in)
-        d_kernels[:, :, tap] = flat_grad.T @ window
+        np.copyto(window, xp[:, tap : tap + span : stride])
+        d_kernels[:, :, tap] = flat_grad.T @ window.reshape(-1, c_in)
     if not input_grad:
         return None, d_kernels, d_bias
     tap_kernels = [np.ascontiguousarray(kernels[:, :, tap]) for tap in range(k)]
-    d_xp = np.zeros_like(xp)
-    tmp = np.empty((grad.shape[1], c_in))
-    for grad_row, d_row in zip(grad, d_xp):
-        for tap, tap_kernel in enumerate(tap_kernels):
-            np.matmul(grad_row, tap_kernel, out=tmp)
-            d_row[tap : tap + span : stride] += tmp
+    # tap `offset + pad` read input row offset + j * stride for output row j;
+    # outside [0, in_len) that row was padding, so its product row is dropped
     pad = (k - 1) // 2 if padding == "same" else 0
-    return d_xp[:, pad : pad + in_len, :], d_kernels, d_bias
+    kept = []
+    for offset in range(-pad, k - pad):
+        first = len(range(offset, 0, stride))
+        stop = max(first, min(out_len, len(range(offset, in_len, stride))))
+        kept.append((slice(first, stop),
+                     slice(offset + first * stride, offset + stop * stride, stride)))
+    d_input = np.zeros((batch, in_len, c_in))
+    tmp = np.empty((out_len, c_in))
+    for grad_row, d_row in zip(grad, d_input):
+        for tap_kernel, (src, dst) in zip(tap_kernels, kept):
+            np.matmul(grad_row, tap_kernel, out=tmp)
+            d_row[dst] += tmp[src]
+    return d_input, d_kernels, d_bias
 
 
 def relu_forward(x):
@@ -179,17 +194,20 @@ def lstm_forward(x, w_in, w_rec, bias, keep_cache=True):
     [B, 4l] row in place and computes the gate values on that contiguous
     row: the sigmoid of every column goes back over the row, and the
     candidate columns are then overwritten with their tanh, taken from the
-    pre-activations into a [B, l] scratch first.  The two modes differ only
-    in how many gate rows and state rows there are:
+    pre-activations into a [B, l] scratch first.  The hidden state
+    alternates between two rows.  The two modes differ only in how many
+    gate rows and cell rows there are:
 
     * ``keep_cache=True`` (training): one product fills a [T, B, 4l] buffer,
-      whose rows keep the gate values, and the cell and hidden states of
-      every step are kept (row 0 is the zero initial state).  Returns
-      ``(h, cache)`` for :func:`lstm_backward`.
+      whose rows keep the gate values, and the cell state of every step is
+      kept in a [T + 1, B, l] buffer (row 0 is the zero initial state).
+      Returns ``(h, (x, w_in, w_rec, gates, cells))`` for
+      :func:`lstm_backward`, which recomputes the hidden states it needs
+      from those two buffers.
     * ``keep_cache=False`` (inference): one product per
       ``STREAM_CHUNK`` steps fills a [STREAM_CHUNK, B, 4l] buffer, the
-      states alternate between two rows and the candidate columns are not
-      written back.  Returns ``(h, None)``.
+      cell state also alternates between two rows and the candidate
+      columns are not written back.  Returns ``(h, None)``.
 
     Every value comes from the same floating-point operations, in the same
     order, as a plain step-by-step loop, so both modes give the same bits.
@@ -205,7 +223,7 @@ def lstm_forward(x, w_in, w_rec, bias, keep_cache=True):
     x_steps = x.transpose(1, 0, 2)
     gates = np.empty((min(chunk, t_steps), b, 4 * units))
     cells = np.zeros((rows, b, units))
-    hiddens = np.zeros((rows, b, units))
+    hiddens = np.zeros((2, b, units))
     rec, num, den, sign = np.empty((4, b, 4 * units))
     gg, ig = np.empty((2, b, units))
     i_cols, f_cols, g_cols, o_cols = (slice(k * units, (k + 1) * units) for k in range(4))
@@ -215,7 +233,8 @@ def lstm_forward(x, w_in, w_rec, bias, keep_cache=True):
             np.matmul(block, w_in, out=gates[: len(block)])
         z = gates[t % chunk]
         prev, cur = t % rows, (t + 1) % rows
-        np.matmul(hiddens[prev], w_rec, out=rec)
+        h_prev, h = hiddens[t % 2], hiddens[(t + 1) % 2]
+        np.matmul(h_prev, w_rec, out=rec)
         z += rec
         z += bias_rows
         # sigmoid without overflow: 1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z)
@@ -235,38 +254,51 @@ def lstm_forward(x, w_in, w_rec, bias, keep_cache=True):
         np.multiply(z[:, f_cols], cells[prev], out=c)
         np.multiply(z[:, i_cols], gg, out=ig)
         c += ig
-        h = hiddens[cur]
         np.tanh(c, out=h)
         h *= z[:, o_cols]
-    cache = (x, w_in, w_rec, gates, cells, hiddens) if keep_cache else None
-    return hiddens[t_steps % rows], cache
+    cache = (x, w_in, w_rec, gates, cells) if keep_cache else None
+    return hiddens[t_steps % 2], cache
 
 
 def lstm_backward(cache, grad_h):
     """Backpropagate through time from the final-hidden-state gradient.
+
+    The cache holds no hidden states: step t recomputes the previous one,
+    ``h_{t-1} = tanh(c_{t-1}) * o_{t-1}``, from the kept cells and the
+    output-gate columns of row t - 1, which the steps so far have not
+    touched (``h_{-1}`` is the zero initial state).  That tanh is the
+    ``tanh(c)`` step t - 1 needs, so it is carried there: one tanh per
+    step, as before.  These are the forward's own operations on the
+    forward's own values, so ``h_{t-1}`` has its bits.
 
     Each step writes its gate gradient ``d_z`` over its gate values, which
     are dead by then, so the cache is consumed: it cannot be backpropagated
     twice.  The arithmetic, including the order in which the weight
     gradients accumulate, is that of a plain step-by-step loop.
     """
-    x, w_in, w_rec, gates, cells, hiddens = cache
+    x, w_in, w_rec, gates, cells = cache
     t_steps, b, four_units = gates.shape
     units = four_units // 4
+    o_cols = slice(3 * units, 4 * units)
     d_x = np.empty_like(x)
     d_w_in = np.zeros_like(w_in)
     d_w_rec = np.zeros_like(w_rec)
     d_bias = np.zeros(four_units)
     d_h = np.asarray(grad_h, dtype=np.float64).copy()
     d_c = np.zeros((b, units))
-    tanh_c, tmp, tmp2 = np.empty((3, b, units))
+    tanh_c, tanh_prev, h_prev, tmp, tmp2 = np.empty((5, b, units))
+    np.tanh(cells[t_steps], out=tanh_c)
     slots, d_gate, slope = np.empty((3, 4, b, units))
     gi, gf, gg, go = slots
     for t in range(t_steps - 1, -1, -1):
         d_z = gates[t]
         d_z_slots = d_z.reshape(b, 4, units).transpose(1, 0, 2)
         np.copyto(slots, d_z_slots)
-        np.tanh(cells[t + 1], out=tanh_c)
+        if t:
+            np.tanh(cells[t], out=tanh_prev)
+            np.multiply(tanh_prev, gates[t - 1][:, o_cols], out=h_prev)
+        else:
+            h_prev.fill(0.0)
         np.multiply(d_h, go, out=tmp)
         np.multiply(tanh_c, tanh_c, out=tmp2)
         np.subtract(1.0, tmp2, out=tmp2)
@@ -284,11 +316,12 @@ def lstm_backward(cache, grad_h):
         np.subtract(1.0, slots, out=slope)
         np.multiply(d_gate, slope, out=d_z_slots)
         d_w_in += x[:, t, :].T @ d_z
-        d_w_rec += hiddens[t].T @ d_z
+        d_w_rec += h_prev.T @ d_z
         d_bias += d_z.sum(axis=0)
         np.matmul(d_z, w_in.T, out=d_x[:, t, :])
         np.matmul(d_z, w_rec.T, out=d_h)
         d_c *= gf
+        tanh_c, tanh_prev = tanh_prev, tanh_c
     return d_x, d_w_in, d_w_rec, d_bias
 
 
@@ -315,8 +348,17 @@ def sgd_step(weights, grad, learning_rate):
     """Plain gradient-descent update ``w -= lr * grad``, in place.
 
     ``weights`` is overwritten and returned; ``grad`` is left unchanged.
+    When both are C-contiguous and of one shape, the update runs over
+    ``SGD_CHUNK`` elements of their flat views at a time, so the product
+    ``lr * grad`` never takes a full-size temporary; the values are the same.
     """
     if learning_rate <= 0:
         raise ValueError(f"learning rate must be > 0, got {learning_rate}")
-    weights -= learning_rate * np.asarray(grad)
+    grad = np.asarray(grad)
+    if weights.flags.c_contiguous and grad.flags.c_contiguous and grad.shape == weights.shape:
+        flat_w, flat_g = weights.reshape(-1), grad.reshape(-1)
+        for lo in range(0, flat_w.size, SGD_CHUNK):
+            flat_w[lo : lo + SGD_CHUNK] -= learning_rate * flat_g[lo : lo + SGD_CHUNK]
+    else:
+        weights -= learning_rate * grad
     return weights

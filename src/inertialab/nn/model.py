@@ -271,13 +271,16 @@ class LrcnModel(_RegressionNet):
             keep_cache=keep_cache,
         )
         pred, head_cache = _head_forward(self.params, len(self.config.head_sizes), hidden)
-        return pred, (conv_cache, lstm_cache, head_cache)
+        # a list, so that _backward can drop the LSTM cache
+        return pred, [conv_cache, lstm_cache, head_cache]
 
     def _backward(self, cache, grad_pred):
-        conv_cache, lstm_cache, head_cache = cache
+        conv_cache, head_cache = cache[0], cache[2]
         d_hidden, grads = _head_backward(head_cache, len(self.config.head_sizes), grad_pred)
+        # popped, not named: the gate buffer, the pass's largest array, is
+        # freed when lstm_backward returns, before the conv backward runs
         d_seq, grads["lstm_w_in"], grads["lstm_w_rec"], grads["lstm_b"] = (
-            layers.lstm_backward(lstm_cache, d_hidden))
+            layers.lstm_backward(cache.pop(1), d_hidden))
         grads.update(self._conv_stack_backward(conv_cache, d_seq))
         return grads
 

@@ -103,6 +103,11 @@ class TestProbeWaveform:
             ProbingSignal(seed=-1)
         with pytest.raises(ValueError, match="probe seed"):
             ProbingSignal(seed=0.5)
+        # True would inject at bus 1, 1.0 would pass the bus lookup
+        for bus in (True, 1.0, 2.5, "3", -1):
+            with pytest.raises(ValueError, match="probe injection_bus"):
+                ProbingSignal(injection_bus=bus)
+        assert type(ProbingSignal(injection_bus=np.int64(18)).injection_bus) is int
 
 
 class TestSwingRhs:

@@ -1,5 +1,7 @@
 """Layer forward semantics: hand-checked examples and analytic cases."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,35 @@ class TestConv1dMatchesReference:
                 assert a.shape == want.shape, (name, c_in)
                 assert np.abs(a - want).max() <= 1e-13 * np.abs(want).max(), (name, c_in)
 
+    @staticmethod
+    def padded_d_input(cache, grad):
+        """``d_input`` summed over the whole zero-padded input, then cut out."""
+        xp, kernels, padding, in_len, span, stride = cache
+        k = kernels.shape[2]
+        d_xp = np.zeros_like(xp)
+        for tap in range(k):
+            d_xp[:, tap : tap + span : stride] += grad @ kernels[:, :, tap]
+        pad = (k - 1) // 2 if padding == "same" else 0
+        return d_xp[:, pad : pad + in_len]
+
+    @pytest.mark.parametrize("padding", ["valid", "same"])
+    @pytest.mark.parametrize("stride", [1, 2, 3, 8])
+    def test_input_gradient_is_contiguous_and_drops_the_padding(self, padding, stride):
+        # 37 * stride + 1 values put the last same-padded output row at the
+        # last input row, so the taps right of centre read it from the padding
+        rng = np.random.default_rng(12)
+        in_len = 37 * stride + 1
+        x = rng.normal(size=(3, in_len, 4))
+        kernels = rng.normal(size=(6, 4, 5))
+        out, cache = layers.conv1d_forward(x, kernels, rng.normal(size=6), padding,
+                                           stride=stride)
+        if padding == "same":
+            assert (out.shape[1] - 1) * stride == in_len - 1
+        grad = rng.normal(size=out.shape)
+        d_x, _, _ = layers.conv1d_backward(cache, grad)
+        assert d_x.flags.c_contiguous
+        assert_same_bytes(d_x, self.padded_d_input(cache, grad), "d_x")
+
 
 class TestRelu:
     def test_all_negative(self):
@@ -258,6 +289,19 @@ class TestLstm:
         cells = cache[4]  # row 0 holds the zero initial state
         assert cells[1, 0, 0] == pytest.approx(0.15293305858720352, rel=1e-14)
         assert h[0, 0] == pytest.approx(0.09085193946699145, rel=1e-14)
+
+    def test_training_cache_keeps_no_hidden_states(self):
+        # the backward recomputes h from the cells and the output gates
+        b, t_steps, units = 3, 9, 5
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(b, t_steps, 2))
+        _, cache = layers.lstm_forward(x, rng.normal(size=(2, 4 * units)),
+                                       rng.normal(size=(units, 4 * units)),
+                                       np.zeros(4 * units))
+        assert len(cache) == 5
+        assert cache[0] is x
+        long = [a.shape for a in cache[1:] if a.ndim == 3 and a.shape[0] >= t_steps]
+        assert long == [(t_steps, b, 4 * units), (t_steps + 1, b, units)]
 
     def test_final_state_matches_manual_recurrence(self):
         rng = np.random.default_rng(3)
@@ -449,3 +493,29 @@ class TestSgdStep:
     def test_domain(self):
         with pytest.raises(ValueError):
             layers.sgd_step(np.ones(1), np.ones(1), 0.0)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bits_of_the_whole_array_update(self, order):
+        # 200,000 values: more than one 64 Ki-element chunk, the last partial
+        rng = np.random.default_rng(13)
+        shape = (5, 40_000)
+        w = np.asarray(rng.normal(size=shape), order=order)
+        g = np.asarray(rng.normal(size=shape), order=order)
+        g_before, want = g.copy(), w - 0.37 * g
+        address = w.__array_interface__["data"][0]
+        assert layers.sgd_step(w, g, 0.37) is w
+        assert w.__array_interface__["data"][0] == address and w.flags[order + "_CONTIGUOUS"]
+        assert_same_bytes(w, want, "weights")
+        assert_same_bytes(g, g_before, "grad")
+
+    def test_no_full_size_temporary(self):
+        w = np.zeros(1 << 18)
+        g = np.ones_like(w)
+        tracemalloc.start()
+        try:
+            layers.sgd_step(w, g, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < w.nbytes / 2
+        assert np.all(w == -0.5)

@@ -1,5 +1,6 @@
 """Model structure, determinism, checkpointing and the LR schedule."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -191,6 +192,30 @@ def test_training_pass_matches_reference_front_end_bytes(arch):
     assert sorted(grads) == sorted(ref_grads) == sorted(model.params)
     for name, grad in grads.items():
         assert grad.tobytes() == ref_grads[name].tobytes(), name
+
+
+def test_lstm_cache_is_freed_before_the_conv_backward(monkeypatch):
+    # the gate buffer is the largest array of an LRCN pass; nothing after
+    # lstm_backward reads it, so it must not be alive during conv2's backward
+    gate_refs, alive_at_conv2 = [], []
+    lstm_forward, conv1d_backward = layers.lstm_forward, layers.conv1d_backward
+
+    def recording_forward(*args, **kwargs):
+        h, cache = lstm_forward(*args, **kwargs)
+        gate_refs.append(weakref.ref(cache[3]))
+        return h, cache
+
+    def checking_backward(cache, *args, **kwargs):
+        if cache[2] == "same":
+            alive_at_conv2.append(gate_refs[-1]() is not None)
+        return conv1d_backward(cache, *args, **kwargs)
+
+    monkeypatch.setattr(layers, "lstm_forward", recording_forward)
+    monkeypatch.setattr(layers, "conv1d_backward", checking_backward)
+    model = make_model("lrcn", SMALL)
+    rng = np.random.default_rng(10)
+    model.forward_backward(rng.uniform(size=(4, SMALL.input_len)), rng.uniform(size=4))
+    assert alive_at_conv2 == [False]
 
 
 class TestCheckpoint:
