@@ -83,14 +83,12 @@ class ProbingSignal:
     def __post_init__(self):
         if self.kind not in ("step_pulse", "prbs"):
             raise ValueError(f"unknown probe kind {self.kind!r}")
-        if self.amplitude < 0:
-            raise ValueError("probe amplitude must be >= 0")
-        if self.duration <= 0:
-            raise ValueError("probe duration must be > 0")
-        if self.start < 0:
-            raise ValueError("probe start must be >= 0")
-        if self.kind == "prbs" and self.prbs_chip <= 0:
-            raise ValueError("prbs chip length must be > 0")
+        for name in ("amplitude", "start"):  # NaN fails each bound too
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"probe {name} must be finite and >= 0, got {getattr(self, name)}")
+        for name in ("duration", "prbs_chip"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"probe {name} must be finite and > 0, got {getattr(self, name)}")
         object.__setattr__(self, "seed", integer_at_least("probe seed", self.seed, 0))
         if self.injection_bus is not None:
             object.__setattr__(self, "injection_bus", integer_at_least(
@@ -130,13 +128,14 @@ class SimConfig:
     pmu_rate: float = 2880.0
 
     def __post_init__(self):
-        if self.t_end < 1.5:
-            raise ValueError("t_end must be >= 1.5 s")
-        if self.integrator_step > 1.0 / self.pmu_rate:
-            raise ValueError("integrator step must not exceed the PMU period")
-        sps = 1.0 / (self.integrator_step * self.pmu_rate)
-        if abs(sps - round(sps)) > 1e-9:
-            raise ValueError("PMU period must be an integer number of steps")
+        if not 1.5 <= self.t_end < math.inf:  # NaN fails each bound too
+            raise ValueError(f"sim t_end must be finite and >= 1.5 s, got {self.t_end}")
+        for name in ("integrator_step", "pmu_rate"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"sim {name} must be finite and > 0, got {getattr(self, name)}")
+        sps = 1.0 / self.pmu_rate / self.integrator_step  # steps per PMU sample
+        if not 1 - 1e-9 <= sps < math.inf or abs(sps - round(sps)) > 1e-9:
+            raise ValueError(f"sim integrator_step must divide the PMU period, got {sps} steps")
 
     @property
     def steps_per_sample(self):

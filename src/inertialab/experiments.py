@@ -130,8 +130,10 @@ class DatasetSpec:
         for name in ("h_values", "amplitudes", "window"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         object.__setattr__(self, "features", FeatureSet(self.features))
-        if len(self.window) != 2:
-            raise ValueError(f"window needs (start, stop), got {self.window}")
+        if len(self.window) != 2 or not 0 <= self.window[0] < self.window[1] <= self.sim.t_end:
+            raise ValueError(f"window needs 0 <= start < stop <= sim t_end, got {self.window}")
+        if not 0 < self.target_rate <= self.sim.pmu_rate:  # NaN fails either bound
+            raise ValueError(f"target_rate must be in (0, sim pmu_rate], got {self.target_rate}")
         for name in ("h_values", "amplitudes"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
@@ -139,6 +141,9 @@ class DatasetSpec:
             raise ValueError(f"amplitudes must be finite and >= 0, got {list(self.amplitudes)}")
         if not -math.inf < self.snr_db <= math.inf:  # +inf turns noise off; NaN fails
             raise ValueError(f"snr_db must be a number or +inf, got {self.snr_db}")
+        if self.snr_db < math.inf and (0 in self.amplitudes or self.probe.start >= self.sim.t_end):
+            raise ValueError("a finite snr_db scales noise to each record's power, so amplitudes "
+                             "must be > 0 and the probe start must lie before sim t_end")
         object.__setattr__(self, "base_seed", integer_at_least("base_seed", self.base_seed, 0))
 
     @property

@@ -3,9 +3,10 @@
 Everything is float64 and batch-first.  Each ``*_forward`` returns the
 output plus an opaque cache; the matching ``*_backward`` consumes the cache
 and the upstream gradient and returns gradients for the inputs and
-parameters.  The ReLU is the exception: it rectifies its input in place and
-returns no cache, and ``relu_backward`` reads the mask from that output and
-overwrites ``grad``.  Non-finite values are rejected at layer boundaries.
+parameters.  A conv caches its input itself and never builds its padding.
+The ReLU is the exception: it rectifies its input in place and returns no
+cache, and ``relu_backward`` reads the mask from that output and overwrites
+``grad``.  Non-finite values are rejected at layer boundaries.
 """
 
 from __future__ import annotations
@@ -39,28 +40,39 @@ def check_finite(name, array):
     return array
 
 
+def _tap_rows(k, pad, in_len, out_len, stride):
+    """Each tap's (output rows, input rows) as two slices: tap t reads input
+    row ``t - pad + j * stride`` for output row j, and gives nothing to an
+    output row whose input row would lie in the zero padding."""
+    rows = []
+    for offset in range(-pad, k - pad):
+        first = len(range(offset, 0, stride))
+        stop = max(first, min(out_len, len(range(offset, in_len, stride))))
+        rows.append((slice(first, stop),
+                     slice(offset + first * stride, offset + stop * stride, stride)))
+    return rows
+
+
 def conv1d_forward(x, kernels, bias, padding, stride=1):
     """Cross-correlate ``x`` [B, L, C_in] with ``kernels`` [C_out, C_in, K].
 
     ``padding="valid"`` spans L-K+1 positions, ``padding="same"`` zero-pads
     to span L (odd K only); only positions 0, s, 2s, … of the span are
-    computed at ``stride`` s, so L_out = ceil(span / s).
+    computed at ``stride`` s, so L_out = ceil(span / s).  No padded copy is
+    made: a tap skips the output rows whose input row is padding.
 
     The taps are summed one sample at a time: each sample's output row
-    starts at ``bias`` and adds, in tap order, each tap's product of the
-    step slice ``x_row[tap : tap + span : s]`` through one [L_out, C_out]
-    scratch, with each tap's [C_in, C_out] kernel made contiguous once per
-    call.  These are the per-sample products that a batched product over
-    the sliced [B, L_out, C_in] input makes, so the sums have the same bits.
+    starts at ``bias`` and adds, in tap order, each tap's product over its
+    rows (``_tap_rows``) through one [L_out, C_out] scratch, with each tap's
+    [C_in, C_out] kernel made contiguous once per call.  These are the
+    per-sample products that a batched product over the sliced, zero-padded
+    [B, L_out, C_in] input makes, so the sums have the same bits.
 
     With ``C_in == 1`` a tap's product is one exact multiply per value, so
     the row is built channel-major instead, [C_out, L_out], with the inner
-    loop along the sequence: tap 0's product, plus the bias, plus each
-    later tap's product, then one transposing copy into the output.  Since
-    ``p0 + bias == bias + p0``, every sum has the bits of the general path.
-
-    Element 0 of the cache is the input as the taps read it, zero-padded
-    for ``"same"``; the model reads its ReLU output back from there.
+    loop along the sequence, then one transposing copy into the output.
+    The cache is ``(x, kernels, padding, stride)``, ``x`` being the caller's
+    float64 array itself, from which the model reads its ReLU output back.
     """
     x = check_finite("conv1d", np.asarray(x, dtype=np.float64))
     kernels = np.asarray(kernels, dtype=np.float64)
@@ -70,85 +82,73 @@ def conv1d_forward(x, kernels, bias, padding, stride=1):
         raise ValueError(f"expected input [B, L, {c_in}], got {x.shape}")
     if not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError(f"stride must be an integer >= 1, got {stride}")
-    if padding == "valid":
-        if x.shape[1] < k:
-            raise ValueError(f"input length {x.shape[1]} below kernel size {k}")
-        xp = x
-    elif padding == "same":
-        if k % 2 == 0:
-            raise ValueError("same padding requires an odd kernel size")
-        pad = (k - 1) // 2
-        xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
-    else:
+    if padding not in ("valid", "same"):
         raise ValueError(f"unknown padding {padding!r}")
-
-    span = xp.shape[1] - k + 1
-    out = np.empty((x.shape[0], -(-span // stride), c_out))
-    out_len = out.shape[1]
+    if padding == "same" and k % 2 == 0:
+        raise ValueError("same padding requires an odd kernel size")
+    in_len = x.shape[1]
+    if padding == "valid" and in_len < k:
+        raise ValueError(f"input length {in_len} below kernel size {k}")
+    pad = (k - 1) // 2 if padding == "same" else 0
+    out_len = -(-(in_len + 2 * pad - k + 1) // stride)
+    out = np.empty((x.shape[0], out_len, c_out))
+    taps = _tap_rows(k, pad, in_len, out_len, stride)
     if c_in == 1:
         bias_cols = np.tile(bias[:, None], (1, out_len))
         acc, tmp = np.empty((2, c_out, out_len))
-        for x_row, out_row in zip(xp[:, :, 0], out):
-            np.multiply(kernels[:, 0, 0, None], x_row[None, :span:stride], out=acc)
-            acc += bias_cols
-            for tap in range(1, k):
-                np.multiply(kernels[:, 0, tap, None],
-                            x_row[None, tap : tap + span : stride], out=tmp)
-                acc += tmp
+        for x_row, out_row in zip(x[:, :, 0], out):
+            np.copyto(acc, bias_cols)
+            for tap, (out_rows, in_rows) in enumerate(taps):
+                np.multiply(kernels[:, 0, tap, None], x_row[None, in_rows], out=tmp[:, out_rows])
+                acc[:, out_rows] += tmp[:, out_rows]
             out_row[...] = acc.T
     else:
         tap_kernels = [np.ascontiguousarray(kernels[:, :, tap].T) for tap in range(k)]
         bias_rows = np.tile(bias, (out_len, 1))
         tmp = np.empty((out_len, c_out))
-        for x_row, out_row in zip(xp, out):
+        for x_row, out_row in zip(x, out):
             np.copyto(out_row, bias_rows)
-            for tap, tap_kernel in enumerate(tap_kernels):
-                np.matmul(x_row[tap : tap + span : stride], tap_kernel, out=tmp)
-                out_row += tmp
-    return out, (xp, kernels, padding, x.shape[1], span, stride)
+            for tap_kernel, (out_rows, in_rows) in zip(tap_kernels, taps):
+                np.matmul(x_row[in_rows], tap_kernel, out=tmp[out_rows])
+                out_row[out_rows] += tmp[out_rows]
+    return out, (x, kernels, padding, stride)
 
 
 def conv1d_backward(cache, grad, *, input_grad=True):
     """Gradients of a conv1d: (d_input, d_kernels, d_bias).
 
     ``d_kernels`` sums each tap's products over the whole batch in one
-    product, with the tap's window copied into one reused [B, L_out, C_in]
-    buffer.  ``d_input`` is a new C-contiguous [B, L, C_in] array: its taps
-    are summed one sample at a time into the rows the forward read, through
-    each tap's [C_out, C_in] kernel made contiguous once per call, and a
-    product row that the forward read from the zero padding is dropped.
-    Each kept row gets the adds of the padded buffer, in the same order.
+    product, with the tap's rows (``_tap_rows``) copied into one reused
+    [B, L_out, C_in] window and its other rows zeroed.  ``d_input`` is a new
+    C-contiguous [B, L, C_in] array: each sample's tap products, through each
+    tap's [C_out, C_in] kernel made contiguous once per call, are added to
+    the tap's input rows; a zero-padded buffer would get the same adds.
     With ``input_grad=False`` it is not computed and comes back as ``None``.
     """
-    xp, kernels, padding, in_len, span, stride = cache
+    x, kernels, padding, stride = cache
     grad = np.asarray(grad, dtype=np.float64)
     c_out, c_in, k = kernels.shape
     batch, out_len = grad.shape[:2]
+    pad = (k - 1) // 2 if padding == "same" else 0
+    taps = _tap_rows(k, pad, x.shape[1], out_len, stride)
     d_bias = grad.sum(axis=(0, 1))
     d_kernels = np.empty_like(kernels)
     flat_grad = grad.reshape(-1, c_out)
     window = np.empty((batch, out_len, c_in))
-    for tap in range(k):
-        np.copyto(window, xp[:, tap : tap + span : stride])
+    for tap, (out_rows, in_rows) in enumerate(taps):
+        window[:, : out_rows.start] = 0.0
+        np.copyto(window[:, out_rows], x[:, in_rows])
+        window[:, out_rows.stop :] = 0.0
         d_kernels[:, :, tap] = flat_grad.T @ window.reshape(-1, c_in)
     if not input_grad:
         return None, d_kernels, d_bias
     tap_kernels = [np.ascontiguousarray(kernels[:, :, tap]) for tap in range(k)]
-    # tap `offset + pad` read input row offset + j * stride for output row j;
-    # outside [0, in_len) that row was padding, so its product row is dropped
-    pad = (k - 1) // 2 if padding == "same" else 0
-    kept = []
-    for offset in range(-pad, k - pad):
-        first = len(range(offset, 0, stride))
-        stop = max(first, min(out_len, len(range(offset, in_len, stride))))
-        kept.append((slice(first, stop),
-                     slice(offset + first * stride, offset + stop * stride, stride)))
-    d_input = np.zeros((batch, in_len, c_in))
+    d_input = np.zeros(x.shape)
     tmp = np.empty((out_len, c_in))
     for grad_row, d_row in zip(grad, d_input):
-        for tap_kernel, (src, dst) in zip(tap_kernels, kept):
+        for tap_kernel, (out_rows, in_rows) in zip(tap_kernels, taps):
             np.matmul(grad_row, tap_kernel, out=tmp)
-            d_row[dst] += tmp[src]
+            d_row[in_rows] += tmp[out_rows]
     return d_input, d_kernels, d_bias
 
 

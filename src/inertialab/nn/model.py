@@ -192,9 +192,7 @@ class _RegressionNet:
         grads = {}
         g = layers.relu_backward(out, grad)
         g, grads["conv2_w"], grads["conv2_b"] = layers.conv1d_backward(cache2, g)
-        # relu1's output is the interior of conv2's zero-padded input
-        pad = (self.config.kernel_size - 1) // 2
-        g = layers.relu_backward(cache2[0][:, pad : pad + self.config.conv_output_len], g)
+        g = layers.relu_backward(cache2[0], g)  # conv2's input is relu1's output
         # nothing upstream of conv1 is trained, so its input gradient is skipped
         _, grads["conv1_w"], grads["conv1_b"] = layers.conv1d_backward(
             cache1, g, input_grad=False

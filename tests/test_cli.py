@@ -23,6 +23,27 @@ from inertialab.signals import Dataset, FeatureSet, NormalizationStats
 OMEGA = 2.0 * math.pi * 60.0
 J1 = 2 * 4.0 * 100 / OMEGA**2  # moment of inertia of the tiny case's G1
 
+# Dataset values each rejected when its dataclass is built, before anything
+# is simulated or written, with a message that names the key
+BAD_DATASET_VALUES = [
+    ("dataset.sim.integrator_step=0", "integrator_step"),
+    ("dataset.sim.pmu_rate=0", "pmu_rate"),
+    ("dataset.sim.t_end=Infinity", "t_end"),
+    ("dataset.target_rate=0", "target_rate"),
+    ("dataset.target_rate=NaN", "target_rate"),
+    ("dataset.target_rate=5000", "target_rate"),
+    ("dataset.target_rate=-200", "target_rate"),
+    ("dataset.probe.duration=NaN", "duration"),
+    ("dataset.probe.duration=Infinity", "duration"),
+    ("dataset.probe.prbs_chip=NaN", "prbs_chip"),
+    ("dataset.probe.start=Infinity", "start"),
+    ("dataset.probe.start=2.0", "start"),
+    ("dataset.window=[0.5,0.2]", "window"),
+    ("dataset.window=[0.0,9.0]", "window"),
+    ("dataset.window=[NaN,1.0]", "window"),
+    ("dataset.amplitudes=[0.0,0.001]", "amplitudes"),
+]
+
 
 def tiny_case_text():
     j2 = 2 * 3.5 * 100 / OMEGA**2
@@ -164,6 +185,7 @@ class TestGenData:
         ("model.seed=-1", "seed"),
         ("model.sequence_stride=8.0", "sequence_stride"),
         ("model.head_sizes=[64.0,16]", "head_sizes"),
+        *BAD_DATASET_VALUES,
     ])
     def test_bad_grid_exit_code(self, tiny_case, tmp_path, capsys, assignment, key):
         out = tmp_path / "run"
@@ -344,6 +366,8 @@ class TestTrainEval:
         ("train", "train.train_fraction=0.05", "train.train_fraction"),
         ("train", "train.train_fraction=0.95", "train.train_fraction"),
         ("eval", "train.train_fraction=0.95", "train.train_fraction"),
+        *(("gen-data", assignment, key) for assignment, key in BAD_DATASET_VALUES),
+        ("eval", "dataset.target_rate=0", "target_rate"),  # eval without --data simulates
     ])
     def test_bad_model_value_fails_before_it_writes(self, tiny_case, tmp_path, capsys,
                                                     command, assignment, key):

@@ -108,6 +108,23 @@ class TestProbeWaveform:
             with pytest.raises(ValueError, match="probe injection_bus"):
                 ProbingSignal(injection_bus=bus)
         assert type(ProbingSignal(injection_bus=np.int64(18)).injection_bus) is int
+        # every float field is finite, and the message names it
+        for key, value in (("amplitude", math.inf), ("start", math.nan), ("start", math.inf),
+                           ("duration", math.nan), ("duration", math.inf),
+                           ("prbs_chip", math.nan), ("prbs_chip", 0.0)):
+            with pytest.raises(ValueError, match=f"probe {key}"):
+                ProbingSignal(**{key: value})
+        for kw, key in ((dict(t_end=math.inf), "t_end"), (dict(t_end=math.nan), "t_end"),
+                        (dict(t_end=1.0), "t_end"),
+                        (dict(integrator_step=0.0), "integrator_step"),
+                        (dict(integrator_step=math.nan), "integrator_step"),
+                        (dict(integrator_step=1.0 / 2000.0), "integrator_step"),
+                        (dict(integrator_step=1.0 / 7000.0), "integrator_step"),
+                        (dict(pmu_rate=0.0), "pmu_rate"), (dict(pmu_rate=math.inf), "pmu_rate"),
+                        # steps per sample overflow: rejected, not a ZeroDivisionError
+                        (dict(integrator_step=1e-200, pmu_rate=1e-200), "integrator_step")):
+            with pytest.raises(ValueError, match=f"sim {key}"):
+                SimConfig(**kw)
 
 
 class TestSwingRhs:

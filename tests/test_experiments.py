@@ -89,6 +89,17 @@ class TestGrids:
         (dict(snr_db=-math.inf), "snr_db"),
         (dict(base_seed=-1), "base_seed"),
         (dict(base_seed=1.5), "base_seed"),
+        (dict(window=(0.5, 0.2)), "window"),
+        (dict(window=(0.0, 9.0)), "window"),  # past sim.t_end
+        (dict(window=(float("nan"), 1.0)), "window"),
+        (dict(window=(0.0, math.inf)), "window"),
+        (dict(target_rate=0.0), "target_rate"),
+        (dict(target_rate=float("nan")), "target_rate"),
+        (dict(target_rate=5000.0), "target_rate"),  # above sim.pmu_rate
+        (dict(target_rate=-200.0), "target_rate"),
+        # noise at a finite SNR is scaled to a signal, so there must be one
+        (dict(amplitudes=(0.0, 0.001)), "amplitudes"),
+        (dict(probe=ProbingSignal(start=1.5)), "start"),
     ])
     def test_spec_rejects_bad_grids(self, kw, key):
         with pytest.raises(ValueError, match=key):
@@ -119,6 +130,8 @@ class TestGrids:
 
     def test_infinite_snr_means_no_noise(self):
         assert DatasetSpec(snr_db=math.inf).snr_db == math.inf
+        # with no noise, a silent probe is a valid (all-zero) corpus
+        assert DatasetSpec(amplitudes=(0.0,), probe=ProbingSignal(start=1.5), snr_db=math.inf)
         assert TrainPlan(snr_levels=[math.inf, 45]).snr_levels == (math.inf, 45.0)
 
 

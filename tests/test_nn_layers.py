@@ -149,15 +149,24 @@ class TestConv1dMatchesReference:
                 assert a.shape == want.shape, (name, c_in)
                 assert np.abs(a - want).max() <= 1e-13 * np.abs(want).max(), (name, c_in)
 
+    @pytest.mark.parametrize("padding", ["valid", "same"])
+    def test_cache_holds_the_callers_input(self, padding):
+        # no padded copy: the backward reads the forward's own input array
+        x, kernels, bias, _ = self.case(2, 3, padding)
+        assert x.flags.c_contiguous
+        assert layers.conv1d_forward(x, kernels, bias, padding)[1][0] is x
+
     @staticmethod
     def padded_d_input(cache, grad):
-        """``d_input`` summed over the whole zero-padded input, then cut out."""
-        xp, kernels, padding, in_len, span, stride = cache
+        """``d_input`` summed over a whole zero-padded buffer, then cut out."""
+        x, kernels, padding, stride = cache
         k = kernels.shape[2]
-        d_xp = np.zeros_like(xp)
+        pad = (k - 1) // 2 if padding == "same" else 0
+        batch, in_len, c_in = x.shape
+        d_xp = np.zeros((batch, in_len + 2 * pad, c_in))
+        span = d_xp.shape[1] - k + 1
         for tap in range(k):
             d_xp[:, tap : tap + span : stride] += grad @ kernels[:, :, tap]
-        pad = (k - 1) // 2 if padding == "same" else 0
         return d_xp[:, pad : pad + in_len]
 
     @pytest.mark.parametrize("padding", ["valid", "same"])

@@ -218,6 +218,31 @@ def test_lstm_cache_is_freed_before_the_conv_backward(monkeypatch):
     assert alive_at_conv2 == [False]
 
 
+@pytest.mark.parametrize("arch", ["cnn", "lrcn"])
+def test_relu1_backward_reads_relu1_output(arch, monkeypatch):
+    # conv2 keeps its input itself, not a padded copy, so relu1's backward
+    # gets the very array relu1's forward returned
+    outputs, masks = [], []
+    relu_forward, relu_backward = layers.relu_forward, layers.relu_backward
+
+    def recording_forward(x):
+        outputs.append(relu_forward(x))
+        return outputs[-1]
+
+    def recording_backward(out, grad):
+        masks.append(out)
+        return relu_backward(out, grad)
+
+    monkeypatch.setattr(layers, "relu_forward", recording_forward)
+    monkeypatch.setattr(layers, "relu_backward", recording_backward)
+    model = make_model(arch, SMALL)
+    rng = np.random.default_rng(11)
+    model.forward_backward(rng.uniform(size=(4, SMALL.input_len)), rng.uniform(size=4))
+    # relu1 runs first forward and last backward
+    assert len(outputs) == len(masks) == 2 + len(SMALL.head_sizes)
+    assert masks[-1] is outputs[0]
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize("arch", ["lrcn", "cnn"])
     def test_round_trip_bit_exact(self, arch, tmp_path):
