@@ -9,11 +9,11 @@ file, then repeatable ``--set key=value`` overrides.  The ``dataset``,
 The config file and ``--set`` pass one check: every key must exist, a
 group takes a JSON object and any other key a value of its default's JSON
 kind.  Every value is then checked by the dataclass it builds, and the model
-sizes against the data of a command that trains, before any command
-simulates or writes anything.  The fully resolved configuration is echoed
-into the run manifest.  Exit codes: 0 success, 2 I/O failure,
-3 validation failure, 4 dataset length not the checkpoint's input length,
-5 training divergence.
+sizes against the data of a command that trains and ``compare-snr``'s noise
+levels against the dataset spec, before any command simulates or writes
+anything.  The fully resolved configuration is echoed into the run
+manifest.  Exit codes: 0 success, 2 I/O failure, 3 validation failure,
+4 dataset length not the checkpoint's input length, 5 training divergence.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import plots
@@ -357,8 +357,6 @@ def _compare_models(out, cfg, data, grid, spec, config, plan):
 
 
 def _compare_snr(out, cfg, data, grid, spec, config, plan):
-    if not plan.snr_levels:
-        raise ValueError("need at least one SNR level")
     builder = DatasetBuilder(grid, spec)
     datasets = ((snr, builder.build(snr_db=snr)) for snr in plan.snr_levels)
     rows = [(snr, arch, *_cells(r.metrics)) for snr, arch, r in
@@ -409,6 +407,18 @@ def _check_model_fits(command, data, grid, spec, config, plan):
                          f"{n_train} training samples of the {command} data")
 
 
+def _check_snr_levels(spec, plan):
+    """Check each of ``compare-snr``'s noise levels by the rule a dataset
+    spec applies to its own ``snr_db``."""
+    if not plan.snr_levels:
+        raise ValueError("train.snr_levels needs at least one SNR level")
+    for level in plan.snr_levels:
+        try:
+            replace(spec, snr_db=level)
+        except ValueError as exc:
+            raise ValueError(f"train.snr_levels level {level}: {exc}") from None
+
+
 def run_command(cfg, command):
     """Build (and so check) every run value, then run one command under the
     output lock; write its manifest and summary."""
@@ -418,9 +428,12 @@ def run_command(cfg, command):
     path = cfg["paths"]["dataset"] if command in ("train", "eval") else None
     # the one read of a --data file, before the output directory is taken
     data = Dataset.load(path) if path else None
-    values = (data, grid, spec, LrcnConfig(**cfg["model"]), TrainPlan(**cfg["train"]))
+    plan = TrainPlan(**cfg["train"])
+    values = (data, grid, spec, LrcnConfig(**cfg["model"]), plan)
     if command != "gen-data":
         _check_model_fits(command, *values)
+    if command == "compare-snr":
+        _check_snr_levels(spec, plan)
     with _output_dir(cfg) as out:
         extra, summary = _COMMANDS[command](out, cfg, *values)
         manifest = {"config": cfg, "config_fingerprint": run_fingerprint(cfg),

@@ -120,7 +120,8 @@ class SimConfig:
     The integrator step must divide the PMU sample period exactly so that
     samples fall on step boundaries; the default is two steps per sample at
     2880 Hz.  ``t_end`` must cover at least 1.5 s so that both standard
-    feature windows can be extracted downstream.
+    feature windows can be extracted downstream, and its PMU sample count
+    must fit numpy's ``intp``, which sizes every array.
     """
 
     t_end: float = 1.5
@@ -136,6 +137,9 @@ class SimConfig:
         sps = 1.0 / self.pmu_rate / self.integrator_step  # steps per PMU sample
         if not 1 - 1e-9 <= sps < math.inf or abs(sps - round(sps)) > 1e-9:
             raise ValueError(f"sim integrator_step must divide the PMU period, got {sps} steps")
+        if not self.pmu_rate * self.t_end < math.inf or self.n_samples > np.iinfo(np.intp).max:
+            raise ValueError(f"sim t_end {self.t_end} s gives more PMU samples than numpy's "
+                             "intp can count")
 
     @property
     def steps_per_sample(self):

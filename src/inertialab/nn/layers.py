@@ -5,8 +5,10 @@ output plus an opaque cache; the matching ``*_backward`` consumes the cache
 and the upstream gradient and returns gradients for the inputs and
 parameters.  A conv caches its input itself and never builds its padding.
 The ReLU is the exception: it rectifies its input in place and returns no
-cache, and ``relu_backward`` reads the mask from that output and overwrites
-``grad``.  Non-finite values are rejected at layer boundaries.
+cache, and ``relu_backward`` reads the mask from that output (or takes the
+mask itself) and overwrites ``grad``.  The LSTM and dense backwards write
+their input gradient into a ``d_x`` the caller gives, which may be the
+cached input itself.  Non-finite values are rejected at layer boundaries.
 """
 
 from __future__ import annotations
@@ -123,7 +125,9 @@ def conv1d_backward(cache, grad, *, input_grad=True):
     C-contiguous [B, L, C_in] array: each sample's tap products, through each
     tap's [C_out, C_in] kernel made contiguous once per call, are added to
     the tap's input rows; a zero-padded buffer would get the same adds.
-    With ``input_grad=False`` it is not computed and comes back as ``None``.
+    The window is freed before ``d_input`` is allocated, so the two are never
+    alive together.  With ``input_grad=False`` ``d_input`` is not computed
+    and comes back as ``None``.
     """
     x, kernels, padding, stride = cache
     grad = np.asarray(grad, dtype=np.float64)
@@ -140,6 +144,7 @@ def conv1d_backward(cache, grad, *, input_grad=True):
         np.copyto(window[:, out_rows], x[:, in_rows])
         window[:, out_rows.stop :] = 0.0
         d_kernels[:, :, tap] = flat_grad.T @ window.reshape(-1, c_in)
+    del window
     if not input_grad:
         return None, d_kernels, d_bias
     tap_kernels = [np.ascontiguousarray(kernels[:, :, tap]) for tap in range(k)]
@@ -163,7 +168,12 @@ def relu_forward(x):
 
 
 def relu_backward(out, grad):
-    """``grad * (out > 0)`` written over ``grad``, which is returned."""
+    """``grad * (out > 0)`` written over ``grad``, which is returned.
+
+    ``out`` is the forward's output or its boolean mask ``out > 0``: the
+    mask's own ``> 0`` is the mask, so a caller that must write over the
+    output before this call takes the mask first and passes that.
+    """
     return np.multiply(grad, out > 0, out=grad)
 
 
@@ -176,10 +186,21 @@ def dense_forward(x, weights, bias):
     return x @ weights.T + bias, (x, weights)
 
 
-def dense_backward(cache, grad):
+def dense_backward(cache, grad, *, d_x=None):
+    """Gradients of a dense layer: (d_x, d_weights, d_bias).
+
+    ``d_x = grad @ W`` is written into ``d_x`` when one is given, else into
+    a new array.  ``d_weights = grad.T @ x`` is formed first, so ``d_x`` may
+    be the cached input ``x`` itself; the values are the same either way.
+    """
     x, weights = cache
     grad = np.asarray(grad, dtype=np.float64)
-    return grad @ weights, grad.T @ x, grad.sum(axis=0)
+    d_weights = grad.T @ x
+    if d_x is None:
+        d_x = grad @ weights
+    else:
+        np.matmul(grad, weights, out=d_x)
+    return d_x, d_weights, grad.sum(axis=0)
 
 
 def lstm_forward(x, w_in, w_rec, bias, keep_cache=True):
@@ -260,7 +281,7 @@ def lstm_forward(x, w_in, w_rec, bias, keep_cache=True):
     return hiddens[t_steps % 2], cache
 
 
-def lstm_backward(cache, grad_h):
+def lstm_backward(cache, grad_h, *, d_x=None):
     """Backpropagate through time from the final-hidden-state gradient.
 
     The cache holds no hidden states: step t recomputes the previous one,
@@ -275,12 +296,18 @@ def lstm_backward(cache, grad_h):
     are dead by then, so the cache is consumed: it cannot be backpropagated
     twice.  The arithmetic, including the order in which the weight
     gradients accumulate, is that of a plain step-by-step loop.
+
+    The input gradient is written into ``d_x`` when one is given, else into
+    a new array.  ``d_x`` may be the cached input ``x`` itself: step t reads
+    row t of ``x`` for ``d_w_in`` before it writes row t of ``d_x``, and the
+    later steps read only rows below t.
     """
     x, w_in, w_rec, gates, cells = cache
     t_steps, b, four_units = gates.shape
     units = four_units // 4
     o_cols = slice(3 * units, 4 * units)
-    d_x = np.empty_like(x)
+    if d_x is None:
+        d_x = np.empty_like(x)
     d_w_in = np.zeros_like(w_in)
     d_w_rec = np.zeros_like(w_rec)
     d_bias = np.zeros(four_units)

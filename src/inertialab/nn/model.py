@@ -127,7 +127,9 @@ def _head_forward(params, n_hidden, x):
     return out[:, 0], caches
 
 
-def _head_backward(caches, n_hidden, grad_out):
+def _head_backward(caches, n_hidden, grad_out, d_x=None):
+    """Input gradient and head parameter gradients; the input gradient is
+    written into ``d_x`` when one is given (see ``dense_backward``)."""
     grads = {}
     g, grads["out_w"], grads["out_b"] = layers.dense_backward(caches[-1], grad_out[:, None])
     for idx in range(n_hidden, 0, -1):
@@ -135,7 +137,7 @@ def _head_backward(caches, n_hidden, grad_out):
         # dense_backward's product is fresh, so the ReLU may overwrite it
         g = layers.relu_backward(caches[idx][0], g)
         g, grads[f"head{idx}_w"], grads[f"head{idx}_b"] = layers.dense_backward(
-            caches[idx - 1], g
+            caches[idx - 1], g, d_x=d_x if idx == 1 else None
         )
     return g, grads
 
@@ -183,15 +185,19 @@ class _RegressionNet:
         c1, cache1 = layers.conv1d_forward(batch[:, :, None], p["conv1_w"], p["conv1_b"], "valid")
         c2, cache2 = layers.conv1d_forward(
             layers.relu_forward(c1), p["conv2_w"], p["conv2_b"], "same", stride=stride)
-        out = layers.relu_forward(c2)
-        return out, (cache1, cache2, out)
+        return layers.relu_forward(c2), (cache1, cache2)
 
     def _conv_stack_backward(self, cache, grad):
-        """Conv parameter gradients; ``grad``, a fresh array, is overwritten."""
-        cache1, cache2, out = cache
+        """Conv parameter gradients from ``grad``, the gradient of conv2's
+        output, which is overwritten.
+
+        relu2's backward is the model's own: the layer after the conv stack
+        writes its input gradient over relu2's output, so the model takes
+        relu2's mask before that layer's backward and frees it after use.
+        """
+        cache1, cache2 = cache
         grads = {}
-        g = layers.relu_backward(out, grad)
-        g, grads["conv2_w"], grads["conv2_b"] = layers.conv1d_backward(cache2, g)
+        g, grads["conv2_w"], grads["conv2_b"] = layers.conv1d_backward(cache2, grad)
         g = layers.relu_backward(cache2[0], g)  # conv2's input is relu1's output
         # nothing upstream of conv1 is trained, so its input gradient is skipped
         _, grads["conv1_w"], grads["conv1_b"] = layers.conv1d_backward(
@@ -236,7 +242,7 @@ class _RegressionNet:
                 fh.write(raw)
                 fh.write(struct.pack("<B", arr.ndim))
                 fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-                fh.write(arr.tobytes())
+                fh.write(arr)  # from the array's own buffer, with no bytes copy
             fh.write(struct.pack("<Qdd", self.epoch, self.lr, self.best_val_mse))
 
 
@@ -270,15 +276,24 @@ class LrcnModel(_RegressionNet):
         )
         pred, head_cache = _head_forward(self.params, len(self.config.head_sizes), hidden)
         # a list, so that _backward can drop the LSTM cache
-        return pred, [conv_cache, lstm_cache, head_cache]
+        return pred, [conv_cache, seq, lstm_cache, head_cache]
 
     def _backward(self, cache, grad_pred):
-        conv_cache, head_cache = cache[0], cache[2]
+        """Parameter gradients; the cache is consumed.
+
+        The LSTM's input gradient is written over its input, relu2's output,
+        whose mask is taken first: a training step keeps no second float
+        array of the sequence's size.
+        """
+        conv_cache, seq, head_cache = cache[0], cache[1], cache[3]
+        mask = seq > 0
         d_hidden, grads = _head_backward(head_cache, len(self.config.head_sizes), grad_pred)
         # popped, not named: the gate buffer, the pass's largest array, is
         # freed when lstm_backward returns, before the conv backward runs
         d_seq, grads["lstm_w_in"], grads["lstm_w_rec"], grads["lstm_b"] = (
-            layers.lstm_backward(cache.pop(1), d_hidden))
+            layers.lstm_backward(cache.pop(2), d_hidden, d_x=seq))
+        layers.relu_backward(mask, d_seq)
+        del mask  # freed before the conv backward
         grads.update(self._conv_stack_backward(conv_cache, d_seq))
         return grads
 
@@ -301,12 +316,22 @@ class CnnModel(_RegressionNet):
         seq, conv_cache = self._conv_stack(batch)
         flat = seq.reshape(seq.shape[0], -1)
         pred, head_cache = _head_forward(self.params, len(self.config.head_sizes), flat)
-        return pred, (conv_cache, seq.shape, head_cache)
+        return pred, (conv_cache, seq, head_cache)
 
     def _backward(self, cache, grad_pred):
-        conv_cache, seq_shape, head_cache = cache
-        d_flat, grads = _head_backward(head_cache, len(self.config.head_sizes), grad_pred)
-        grads.update(self._conv_stack_backward(conv_cache, d_flat.reshape(seq_shape)))
+        """Parameter gradients; the cache is consumed.
+
+        head1's input gradient is written over its input, the flattened view
+        of relu2's output, whose mask is taken first: a training step keeps
+        no second float array of the flatten width.
+        """
+        conv_cache, seq, head_cache = cache
+        mask = seq > 0
+        _, grads = _head_backward(head_cache, len(self.config.head_sizes), grad_pred,
+                                  d_x=seq.reshape(seq.shape[0], -1))
+        layers.relu_backward(mask, seq)  # seq now holds relu2's output gradient
+        del mask  # freed before the conv backward
+        grads.update(self._conv_stack_backward(conv_cache, seq))
         return grads
 
 
@@ -338,16 +363,18 @@ def fits_json_kind(default, value):
     return type(value) is type(default)
 
 
-def _read_exact(fh, n, what):
-    """The next ``n`` bytes of the seekable stream ``fh``.
-
-    A declared size larger than what the stream still holds is rejected
-    before anything is read.
-    """
+def _check_remaining(fh, n, what):
+    """Reject a declared size of ``n`` bytes larger than what the seekable
+    stream ``fh`` still holds, before anything is read."""
     here = fh.tell()
     if n > fh.seek(0, io.SEEK_END) - here:
         raise ValueError(f"checkpoint truncated in its {what}")
     fh.seek(here)
+
+
+def _read_exact(fh, n, what):
+    """The next ``n`` bytes of the seekable stream ``fh``."""
+    _check_remaining(fh, n, what)
     return fh.read(n)
 
 
@@ -385,6 +412,7 @@ def read_checkpoint(fh):
 
     Every declared size is checked against the bytes present: a stream that
     ends early, or holds anything after the training state, is rejected.
+    Each parameter is read straight into its own new array.
     """
     header = read_checkpoint_header(fh)
     (n_params,) = struct.unpack("<I", _read_exact(fh, 4, "parameter count"))
@@ -394,8 +422,11 @@ def read_checkpoint(fh):
         name = _read_exact(fh, name_len, "parameter table").decode()
         (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "parameter table"))
         shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, "parameter table"))
-        raw = _read_exact(fh, 8 * math.prod(shape), f"parameter {name!r}")
-        params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        what = f"parameter {name!r}"
+        _check_remaining(fh, 8 * math.prod(shape), what)
+        params[name] = np.empty(shape, dtype="<f8")
+        if fh.readinto(params[name]) != params[name].nbytes:
+            raise ValueError(f"checkpoint truncated in its {what}")
     trailer = struct.Struct("<Qdd")
     state = trailer.unpack(_read_exact(fh, trailer.size, "training state"))
     if fh.read(1):

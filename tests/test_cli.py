@@ -368,6 +368,13 @@ class TestTrainEval:
         ("eval", "train.train_fraction=0.95", "train.train_fraction"),
         *(("gen-data", assignment, key) for assignment, key in BAD_DATASET_VALUES),
         ("eval", "dataset.target_rate=0", "target_rate"),  # eval without --data simulates
+        # values that used to fail only inside the command, after the output
+        # directory was made: a sample count beyond numpy's intp, a finite
+        # study SNR level over a zero amplitude and no SNR level at all
+        ("gen-data", "dataset.sim.t_end=1e300", "t_end"),
+        ("compare-snr", 'dataset={"snr_db":Infinity,"amplitudes":[0.0,0.001]}',
+         "train.snr_levels"),
+        ("compare-snr", "train.snr_levels=[]", "train.snr_levels"),
     ])
     def test_bad_model_value_fails_before_it_writes(self, tiny_case, tmp_path, capsys,
                                                     command, assignment, key):

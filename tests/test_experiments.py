@@ -27,7 +27,7 @@ from inertialab.experiments import (
     wrapper_feature_selection,
 )
 from inertialab.nn import layers
-from inertialab.nn.model import LrcnConfig
+from inertialab.nn.model import LrcnConfig, LrcnModel
 from inertialab.signals import Dataset, FeatureSet, NormalizationStats
 
 OMEGA = 2.0 * math.pi * 60.0
@@ -250,6 +250,19 @@ class TestTrainLoop:
                            arch="lrcn")
         for name, value in at_best.params.items():
             np.testing.assert_array_equal(model.params[name], value, err_msg=name)
+
+    @pytest.mark.parametrize("epochs, most", [(1, 0), (5, 1)])
+    def test_one_best_epoch_snapshot_at_most(self, epochs, most, monkeypatch):
+        # the snapshot is taken only before an update after an improving
+        # epoch, and later ones are written into it in place
+        calls = []
+        copy_params = LrcnModel.copy_params
+        monkeypatch.setattr(LrcnModel, "copy_params",
+                            lambda model: calls.append(1) or copy_params(model))
+        ds = toy_dataset(n=24, length=24)
+        tr, va = split(ds, 0.8, 0)
+        train(self.small_config(24), tr, va, epochs=epochs, seed=0, arch="lrcn")
+        assert len(calls) <= most
 
     def test_curve_lengths_match_epochs(self):
         ds = toy_dataset(n=20, length=24)

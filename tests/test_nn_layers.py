@@ -260,6 +260,18 @@ class TestDense:
         with pytest.raises(ValueError):
             layers.dense_forward(np.zeros((1, 3)), np.zeros((2, 4)), np.zeros(2))
 
+    def test_input_gradient_over_the_cached_input(self):
+        # the weight gradient reads x before grad @ W is written over it
+        rng = np.random.default_rng(3)
+        x, weights, grad = rng.normal(size=(4, 7)), rng.normal(size=(3, 7)), rng.normal(size=(4, 3))
+        _, cache = layers.dense_forward(x.copy(), weights, np.zeros(3))
+        want = layers.dense_backward(cache, grad)
+        _, cache = layers.dense_forward(x.copy(), weights, np.zeros(3))
+        got = layers.dense_backward(cache, grad, d_x=cache[0])
+        assert np.shares_memory(got[0], cache[0])
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
 
 # (batch, steps, stride): the streaming pass computes its input products
 # in chunks of layers.STREAM_CHUNK = 64 steps
@@ -446,6 +458,25 @@ class TestLstm:
         ref_h, ref_grads = self.reference_lstm(x, w_in, w_rec, bias, grad_h, split)
         for name, a, want in zip(names, got, (ref_h, *ref_grads)):
             np.testing.assert_array_equal(a, want, err_msg=name)
+
+    @pytest.mark.parametrize("batch, steps, stride", LSTM_SHAPES.values(), ids=list(LSTM_SHAPES))
+    def test_input_gradient_over_the_cached_input(self, batch, steps, stride):
+        # step t reads row t of x before it writes row t of d_x, and the
+        # steps after it read only earlier rows
+        rng = np.random.default_rng(6)
+        units = 6
+        x = rng.normal(size=(batch, steps * stride, 3))
+        w_in = rng.uniform(-0.6, 0.6, size=(3, 4 * units))
+        w_rec = rng.uniform(-0.6, 0.6, size=(units, 4 * units))
+        bias = rng.normal(scale=0.3, size=4 * units)
+        grad_h = rng.normal(size=(batch, units))
+        _, cache = layers.lstm_forward(x.copy()[:, ::stride, :], w_in, w_rec, bias)
+        want = layers.lstm_backward(cache, grad_h)
+        _, cache = layers.lstm_forward(x.copy()[:, ::stride, :], w_in, w_rec, bias)
+        got = layers.lstm_backward(cache, grad_h, d_x=cache[0])
+        assert np.shares_memory(got[0], cache[0])
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("keep_cache", [True, False])
     def test_non_finite_input_rejected(self, keep_cache):

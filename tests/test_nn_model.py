@@ -219,6 +219,33 @@ def test_lstm_cache_is_freed_before_the_conv_backward(monkeypatch):
 
 
 @pytest.mark.parametrize("arch", ["cnn", "lrcn"])
+def test_relu2_output_takes_the_next_layers_input_gradient(arch, monkeypatch):
+    # relu2's output is dead once head1 (CNN) or the LSTM (LRCN) has read it
+    # for its weight gradient, so that layer's input gradient goes over it
+    outputs, input_grads = [], []
+    relu_forward = layers.relu_forward
+    name = "lstm_backward" if arch == "lrcn" else "dense_backward"
+    backward = getattr(layers, name)
+
+    def recording_forward(x):
+        outputs.append(relu_forward(x))
+        return outputs[-1]
+
+    def recording_backward(*args, **kwargs):
+        result = backward(*args, **kwargs)
+        input_grads.append(result[0])
+        return result
+
+    monkeypatch.setattr(layers, "relu_forward", recording_forward)
+    monkeypatch.setattr(layers, name, recording_backward)
+    model = make_model(arch, SMALL)
+    rng = np.random.default_rng(12)
+    model.forward_backward(rng.uniform(size=(4, SMALL.input_len)), rng.uniform(size=4))
+    # relu2 runs second forward; the LSTM's backward, or head1's, runs last
+    assert np.shares_memory(input_grads[-1], outputs[1])
+
+
+@pytest.mark.parametrize("arch", ["cnn", "lrcn"])
 def test_relu1_backward_reads_relu1_output(arch, monkeypatch):
     # conv2 keeps its input itself, not a padded copy, so relu1's backward
     # gets the very array relu1's forward returned
