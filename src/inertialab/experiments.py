@@ -407,15 +407,14 @@ def train(config, train_set, val_set, epochs, seed, arch):
     Per epoch: seeded shuffle, fixed-size batches (the trailing short batch
     is kept), forward, MSE, backprop, plain descent update; then one
     validation pass drives the learning-rate schedule.  The parameters of
-    the best validation epoch are retained on the returned model.  They are
-    copied only when an update would change them: just before the first
-    update after an improving epoch, into one snapshot that is allocated
-    once and then overwritten in place.  So a single-epoch run copies
-    nothing, and a run whose last improving epoch is its final one returns
-    the trained parameters themselves.  The model's ``input_len`` is the
-    tensor length of ``train_set``, whatever ``config`` holds.  A non-finite
-    loss, or a non-finite value entering any layer, raises
-    :class:`TrainingDivergedError`.
+    the best validation epoch are retained on the returned model.  An
+    improving epoch that is not the last is copied into one snapshot,
+    allocated at the first such epoch and then overwritten in place.  So a
+    single-epoch run copies nothing, and a run whose last improving epoch is
+    its final one returns the trained parameters themselves.  The model's
+    ``input_len`` is the tensor length of ``train_set``, whatever ``config``
+    holds.  A non-finite loss, or a non-finite value entering any layer,
+    raises :class:`TrainingDivergedError`.
     """
     if len(train_set) and config.batch_size > len(train_set):
         raise ValueError("batch size exceeds training-set size")
@@ -434,7 +433,6 @@ def train(config, train_set, val_set, epochs, seed, arch):
     best_val = math.inf
     best_epoch = 0
     best_params = None
-    snapshot_due = False  # an improving epoch's parameters are not yet copied
     train_curve, val_curve, lr_trace = [], [], []
 
     for epoch in range(1, epochs + 1):
@@ -448,13 +446,6 @@ def train(config, train_set, val_set, epochs, seed, arch):
                 )
                 if not math.isfinite(loss):
                     raise TrainingDivergedError(epoch, batch_no)
-                if snapshot_due:
-                    if best_params is None:
-                        best_params = model.copy_params()
-                    else:
-                        for name, value in model.params.items():
-                            np.copyto(best_params[name], value)
-                    snapshot_due = False
                 model.apply_gradients(grads, lr)
                 squared_sum += loss * len(idx)
             batch_no = -1
@@ -466,13 +457,17 @@ def train(config, train_set, val_set, epochs, seed, arch):
         if val_mse < best_val:
             best_val = val_mse
             best_epoch = epoch
-            snapshot_due = True
+            if epoch < epochs and best_params is None:  # updates follow
+                best_params = model.copy_params()
+            elif epoch < epochs:
+                for name, value in model.params.items():
+                    np.copyto(best_params[name], value)
         lr = schedule.update(val_mse)
         train_curve.append(squared_sum / n)
         val_curve.append(val_mse)
         lr_trace.append(lr)
 
-    if best_epoch and not snapshot_due:  # updates ran after the best epoch
+    if best_epoch and best_epoch != epochs:  # updates ran after the best epoch
         model.params = best_params
     model.epoch = epochs
     model.lr = lr

@@ -129,9 +129,13 @@ def _head_forward(params, n_hidden, x):
 
 def _head_backward(caches, n_hidden, grad_out, d_x=None):
     """Input gradient and head parameter gradients; the input gradient is
-    written into ``d_x`` when one is given (see ``dense_backward``)."""
+    written into ``d_x`` when one is given (see ``dense_backward``) by the
+    layer that reads the head's input: head1, or the out layer when there is
+    no hidden layer."""
     grads = {}
-    g, grads["out_w"], grads["out_b"] = layers.dense_backward(caches[-1], grad_out[:, None])
+    g, grads["out_w"], grads["out_b"] = layers.dense_backward(
+        caches[-1], grad_out[:, None], d_x=None if n_hidden else d_x
+    )
     for idx in range(n_hidden, 0, -1):
         # a hidden ReLU's output is the input the next dense layer keeps, and
         # dense_backward's product is fresh, so the ReLU may overwrite it
@@ -321,17 +325,17 @@ class CnnModel(_RegressionNet):
     def _backward(self, cache, grad_pred):
         """Parameter gradients; the cache is consumed.
 
-        head1's input gradient is written over its input, the flattened view
-        of relu2's output, whose mask is taken first: a training step keeps
-        no second float array of the flatten width.
+        The head's input gradient is written over its input, the flattened
+        view of relu2's output, whose mask is taken first: a training step
+        keeps no second float array of the flatten width.
         """
         conv_cache, seq, head_cache = cache
         mask = seq > 0
-        _, grads = _head_backward(head_cache, len(self.config.head_sizes), grad_pred,
-                                  d_x=seq.reshape(seq.shape[0], -1))
-        layers.relu_backward(mask, seq)  # seq now holds relu2's output gradient
+        d_flat, grads = _head_backward(head_cache, len(self.config.head_sizes), grad_pred,
+                                       d_x=seq.reshape(seq.shape[0], -1))
+        d_seq = layers.relu_backward(mask, d_flat.reshape(seq.shape))
         del mask  # freed before the conv backward
-        grads.update(self._conv_stack_backward(conv_cache, seq))
+        grads.update(self._conv_stack_backward(conv_cache, d_seq))
         return grads
 
 

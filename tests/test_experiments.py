@@ -253,8 +253,8 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("epochs, most", [(1, 0), (5, 1)])
     def test_one_best_epoch_snapshot_at_most(self, epochs, most, monkeypatch):
-        # the snapshot is taken only before an update after an improving
-        # epoch, and later ones are written into it in place
+        # the snapshot is taken only at an improving epoch that another
+        # epoch follows, and later ones are written into it in place
         calls = []
         copy_params = LrcnModel.copy_params
         monkeypatch.setattr(LrcnModel, "copy_params",

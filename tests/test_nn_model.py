@@ -179,19 +179,22 @@ def reference_pass(model, batch, targets):
 
 @pytest.mark.parametrize("arch", ["cnn", "lrcn"])
 def test_training_pass_matches_reference_front_end_bytes(arch):
-    # stride 1: the reference conv evaluates every row
-    config = replace(SMALL, input_len=200, sequence_stride=1)
-    model = make_model(arch, config)
-    rng = np.random.default_rng(9)
-    batch = rng.uniform(-1.0, 1.0, size=(4, config.input_len))
-    targets = rng.uniform(3.0, 8.0, size=4)
-    pred, loss, grads = model.forward_backward(batch, targets)
-    ref_pred, ref_loss, ref_grads = reference_pass(model, batch, targets)
-    assert pred.tobytes() == ref_pred.tobytes()
-    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
-    assert sorted(grads) == sorted(ref_grads) == sorted(model.params)
-    for name, grad in grads.items():
-        assert grad.tobytes() == ref_grads[name].tobytes(), name
+    # stride 1: the reference conv evaluates every row.  With no hidden layer
+    # the out layer reads the head's input, so it is the layer that writes
+    # the input gradient over relu2's output (CNN)
+    for head_sizes in (SMALL.head_sizes, ()):
+        config = replace(SMALL, input_len=200, sequence_stride=1, head_sizes=head_sizes)
+        model = make_model(arch, config)
+        rng = np.random.default_rng(9)
+        batch = rng.uniform(-1.0, 1.0, size=(4, config.input_len))
+        targets = rng.uniform(3.0, 8.0, size=4)
+        pred, loss, grads = model.forward_backward(batch, targets)
+        ref_pred, ref_loss, ref_grads = reference_pass(model, batch, targets)
+        assert pred.tobytes() == ref_pred.tobytes(), head_sizes
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes(), head_sizes
+        assert sorted(grads) == sorted(ref_grads) == sorted(model.params)
+        for name, grad in grads.items():
+            assert grad.tobytes() == ref_grads[name].tobytes(), (head_sizes, name)
 
 
 def test_lstm_cache_is_freed_before_the_conv_backward(monkeypatch):
