@@ -8,8 +8,9 @@ file, then repeatable ``--set key=value`` overrides.  The ``dataset``,
 ``LrcnConfig`` and ``TrainPlan``; a profile changes only a few of them.
 The config file and ``--set`` pass one check: every key must exist, a
 group takes a JSON object and any other key a value of its default's JSON
-kind.  Every value is then checked by the dataclass it builds, and the model
-sizes against the data of a command that trains and ``compare-snr``'s noise
+kind.  Every value is then checked by the dataclass it builds, the probe's
+injection bus against the case's generator buses, and the model sizes
+against the data of a command that trains and ``compare-snr``'s noise
 levels against the dataset spec, before any command simulates or writes
 anything.  The fully resolved configuration is echoed into the run
 manifest.  Exit codes: 0 success, 2 I/O failure, 3 validation failure,
@@ -227,16 +228,16 @@ def _curve(values):
     return list(range(1, len(values) + 1)), list(values)
 
 
-def _load_or_generate_dataset(data, grid, spec, out):
+def _load_or_generate_dataset(data, builder, out):
     if data is not None:
         return data
-    dataset = DatasetBuilder(grid, spec).build()
+    dataset = builder.build()
     dataset.save(out / "dataset.bin")
     return dataset
 
 
-def _gen_data(out, cfg, data, grid, spec, config, plan):
-    dataset = DatasetBuilder(grid, spec).build()
+def _gen_data(out, cfg, data, builder, config, plan):
+    dataset = builder.build()
     blob = dataset.to_bytes()
     (out / "dataset.bin").write_bytes(blob)
     case_text = Path(cfg["case"]).read_bytes() if cfg["case"] else b"<bundled ieee24.case>"
@@ -259,8 +260,8 @@ def _write_evaluation(out, stamp, arch, labels, predictions, metrics):
     )
 
 
-def _train(out, cfg, data, grid, spec, config, plan):
-    dataset = _load_or_generate_dataset(data, grid, spec, out)
+def _train(out, cfg, data, builder, config, plan):
+    dataset = _load_or_generate_dataset(data, builder, out)
     model, report, val_set = plan.fit(config, dataset)
     model.save(out / "model.bin")
     stamp = _stamp(cfg)
@@ -282,12 +283,12 @@ def _train(out, cfg, data, grid, spec, config, plan):
     )
 
 
-def _eval(out, cfg, data, grid, spec, config, plan):
+def _eval(out, cfg, data, builder, config, plan):
     model_path = cfg["paths"]["model"]
     if not model_path:
         raise ValueError("eval requires a model checkpoint (--model or paths.model)")
     model = load_model(model_path)
-    dataset = _load_or_generate_dataset(data, grid, spec, out)
+    dataset = _load_or_generate_dataset(data, builder, out)
     _, val_set = split(dataset, plan.train_fraction, plan.split_seed)
     predictions = predict(model, val_set)
     metrics = metrics_from_predictions(val_set.labels, predictions)
@@ -311,8 +312,8 @@ def _write_arms(out, stamp, name, column, arms, report_prefix, title):
     )
 
 
-def _select_features(out, cfg, data, grid, spec, config, plan):
-    scorer = SubsetScorer(DatasetBuilder(grid, spec), config, plan)
+def _select_features(out, cfg, data, builder, config, plan):
+    scorer = SubsetScorer(builder, config, plan)
     result = wrapper_feature_selection(scorer)
     stamp = _stamp(cfg)
     rows = [
@@ -336,8 +337,7 @@ def _select_features(out, cfg, data, grid, spec, config, plan):
     return {"selected": list(names)}, {"selected": "+".join(names)}
 
 
-def _compare_windows(out, cfg, data, grid, spec, config, plan):
-    builder = DatasetBuilder(grid, spec)
+def _compare_windows(out, cfg, data, builder, config, plan):
     datasets = ((f"{w[0]}-{w[1]}", builder.build(window=w)) for w in _WINDOWS)
     arms = {label: r for label, _, r in train_arms(plan, config, datasets, (plan.arch,))}
     _write_arms(out, _stamp(cfg), "window_comparison", "window", arms, "report_window_",
@@ -346,8 +346,8 @@ def _compare_windows(out, cfg, data, grid, spec, config, plan):
     return {"clean_fingerprint": builder.clean_fingerprint()}, {"acc10": acc10}
 
 
-def _compare_models(out, cfg, data, grid, spec, config, plan):
-    dataset = DatasetBuilder(grid, spec).build()
+def _compare_models(out, cfg, data, builder, config, plan):
+    dataset = builder.build()
     fingerprint = sha256_hex(dataset.to_bytes())
     arms = {arch: r for _, arch, r in train_arms(plan, config, [("", dataset)], ("lrcn", "cnn"))}
     _write_arms(out, _stamp(cfg), "model_comparison", "model", arms, "report_",
@@ -356,8 +356,7 @@ def _compare_models(out, cfg, data, grid, spec, config, plan):
     return {"dataset_fingerprint": fingerprint}, {"r2": r2}
 
 
-def _compare_snr(out, cfg, data, grid, spec, config, plan):
-    builder = DatasetBuilder(grid, spec)
+def _compare_snr(out, cfg, data, builder, config, plan):
     datasets = ((snr, builder.build(snr_db=snr)) for snr in plan.snr_levels)
     rows = [(snr, arch, *_cells(r.metrics)) for snr, arch, r in
             train_arms(plan, config, datasets, ("lrcn", "cnn"))]
@@ -380,7 +379,7 @@ _COMMANDS = {
 }
 
 
-def _check_model_fits(command, data, grid, spec, config, plan):
+def _check_model_fits(command, data, builder, config, plan):
     """Check the split (alone for ``eval``) and the model sizes against the smallest
     dataset ``command`` splits: ``data`` when ``--data`` loaded it, else features x
     monitored buses x window samples, at one feature for ``select-features`` and
@@ -388,10 +387,11 @@ def _check_model_fits(command, data, grid, spec, config, plan):
     if data is not None:
         length, n_samples = data.tensor_length, len(data)
     else:
+        spec = builder.spec
         n_features = 1 if command == "select-features" else len(spec.features)
         windows = _WINDOWS if command == "compare-windows" else (spec.window,)
         span = min(stop - start for start, stop in windows)
-        length = n_features * len(grid.monitored_buses) * round(spec.target_rate * span)
+        length = n_features * len(builder.grid.monitored_buses) * round(spec.target_rate * span)
         n_samples = spec.n_samples
     n_train = round(plan.train_fraction * n_samples)
     if not 0 < n_train < n_samples:
@@ -420,16 +420,17 @@ def _check_snr_levels(spec, plan):
 
 
 def run_command(cfg, command):
-    """Build (and so check) every run value, then run one command under the
-    output lock; write its manifest and summary."""
+    """Build (and so check) every run value, the run's one corpus builder too,
+    then run one command under the output lock; write its manifest and summary."""
     grid = load_case(cfg["case"]) if cfg["case"] else load_default_case()
     d = cfg["dataset"]
     spec = DatasetSpec(**{**d, "probe": ProbingSignal(**d["probe"]), "sim": SimConfig(**d["sim"])})
+    builder = DatasetBuilder(grid, spec)
     path = cfg["paths"]["dataset"] if command in ("train", "eval") else None
     # the one read of a --data file, before the output directory is taken
     data = Dataset.load(path) if path else None
     plan = TrainPlan(**cfg["train"])
-    values = (data, grid, spec, LrcnConfig(**cfg["model"]), plan)
+    values = (data, builder, LrcnConfig(**cfg["model"]), plan)
     if command != "gen-data":
         _check_model_fits(command, *values)
     if command == "compare-snr":

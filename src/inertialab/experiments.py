@@ -185,8 +185,10 @@ class DatasetBuilder:
     the label/amplitude grids, so they are simulated once and reused across
     feature sets, windows and noise levels; that keeps comparative studies
     controlled, with every arm consuming identical (H, amplitude, seed)
-    triples.  ``transform`` is applied to each clean resampled record and
-    exists to build control corpora (e.g. replacing a channel with noise).
+    triples.  Only these clean records are cached; each build noises them
+    anew.  ``transform`` is applied to each clean resampled record and exists
+    to build control corpora (e.g. replacing a channel with noise).  A
+    probe's injection bus must host a generator.
 
     Inertia scaling changes only the swing coefficients of the reduced
     network, so all cells share one RK4 loop per block of whole H groups,
@@ -203,11 +205,13 @@ class DatasetBuilder:
         probe = spec.probe
         if probe.injection_bus is None:
             probe = replace(probe, injection_bus=grid.highest_load_generator_bus())
+        elif probe.injection_bus not in grid.generator_buses:
+            raise ValueError(f"probe injection_bus {probe.injection_bus} hosts no generator; "
+                             f"the generator buses are {list(grid.generator_buses)}")
         self.grid = grid
         self.spec = replace(spec, probe=probe)
         self.transform = transform
         self._clean = None
-        self._noisy = {}
 
     def clean_records(self):
         """Resampled (and transformed) clean records in (H, amplitude) order.
@@ -266,36 +270,25 @@ class DatasetBuilder:
             digest.update(rec.channels.tobytes())
         return digest.hexdigest()
 
-    def noisy_records(self, snr_db):
-        key = float(snr_db)
-        if key not in self._noisy:
-            self._noisy[key] = [
-                add_noise(rec, snr_db, rec.seed) for rec in self.clean_records()
-            ]
-        return self._noisy[key]
-
     def build(self, features=None, snr_db=None, window=None):
-        """Assemble a normalized dataset for the given conditioning choice."""
+        """Assemble a normalized dataset for the given conditioning choice.
+
+        Each clean record is noised from its cell seed on its way to a row.
+        """
         spec = self.spec
-        features = spec.features if features is None else features
-        if not isinstance(features, FeatureSet):
-            features = FeatureSet(features)
+        features = FeatureSet(spec.features if features is None else features)
         snr_db = spec.snr_db if snr_db is None else float(snr_db)
         window = spec.window if window is None else tuple(window)
 
-        records = self.noisy_records(snr_db)
-        raw = np.stack(
-            [
-                assemble_features(extract_window(rec, *window), features)
-                for rec in records
-            ]
-        )
+        records = self.clean_records()
+        raw = np.stack([
+            assemble_features(extract_window(add_noise(rec, snr_db, rec.seed), *window), features)
+            for rec in records
+        ])
         n_buses = len(self.grid.monitored_buses)
         stats = compute_normalization(raw, len(features) * n_buses)
-        tensors = apply_normalization(raw, stats)
-        tensors = tensors.astype(np.float32).astype(np.float64)
         return Dataset(
-            tensors=tensors,
+            tensors=apply_normalization(raw, stats),
             labels=np.array([rec.h_sys for rec in records]),
             features=features,
             window=window,
@@ -345,7 +338,8 @@ def metrics_from_predictions(labels, predictions):
 
 
 def predict(model, dataset):
-    """Model predictions over a dataset, evaluated in training-size chunks."""
+    """Model predictions over a dataset, evaluated in training-size chunks
+    of its float32 rows, which the model widens as they enter its conv stack."""
     if dataset.tensor_length != model.config.input_len:
         raise InputMismatchError(
             f"model expects length {model.config.input_len}, "
@@ -378,6 +372,8 @@ class TrainReport:
 
     def save(self, path, stamp):
         """Write the report; ``stamp`` is the run's config-fingerprint line."""
+        from . import plots  # here, so importing this module for a corpus build skips it
+
         lines = [
             "INERTIA-REPORT v1",
             f"arch {self.arch}",
@@ -392,7 +388,7 @@ class TrainReport:
             "[CURVES]",
             "epoch,train_mse,val_mse,lr",
         ]
-        lines += [f"{i},{tr!r},{va!r},{lr!r}" for i, tr, va, lr in self.curve_rows()]
+        lines += [plots.csv_row(row) for row in self.curve_rows()]
         lines.append("[END]")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -188,6 +188,11 @@ class GridModel:
         if not 0 < self.system_base < np.inf:
             raise CaseValidationError("system base must be finite and > 0")
         gen_buses = {g.bus for g in self.generators}
+        for b in self.buses:
+            hosts = b.id in gen_buses
+            if b.kind != ("generator" if hosts else "load"):
+                raise CaseValidationError(
+                    f"bus {b.id} is marked {b.kind} but hosts {'a' if hosts else 'no'} generator")
         for b in self.monitored_buses:
             if b not in gen_buses:
                 raise CaseValidationError(

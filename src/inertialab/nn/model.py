@@ -179,6 +179,8 @@ class _RegressionNet:
         return cls(config, params)
 
     def _conv_stack(self, batch, stride=1):
+        """relu2's output and the conv caches; the one widening of a dataset's
+        float32 rows to the float64 that every layer computes in."""
         cfg = self.config
         batch = np.asarray(batch, dtype=np.float64)
         if batch.ndim != 2 or batch.shape[1] != cfg.input_len:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 __all__ = [
+    "csv_row",
     "write_csv",
     "write_line_svg",
     "write_scatter_svg",
@@ -26,13 +27,12 @@ def write_csv(path, header, rows, comment=None):
             fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+            fh.write(csv_row(row) + "\n")
 
 
-def _cell(value):
-    if isinstance(value, float):  # covers numpy float subclasses
-        return repr(float(value))
-    return str(value)
+def csv_row(row):
+    """One CSV line, without its newline; a float (np.float64 is one) by repr."""
+    return ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
 
 
 def _finite(values):

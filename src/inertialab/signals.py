@@ -265,9 +265,11 @@ def apply_normalization(batch, stats):
 class Dataset:
     """Normalized training corpus: tensors, labels and pipeline provenance.
 
-    ``tensors`` is [n_samples, length] float64 whose values have been
-    canonicalized through float32 so that in-memory data matches a
-    save/load round trip bit for bit.
+    ``tensors`` is a C-contiguous [n_samples, length] float32 array, the
+    type the INRDSET1 file stores, so a dataset and its save/load copy hold
+    the same values bit for bit; any other input is cast on construction.
+    ``labels`` is float64, as stored.  A non-finite value, one beyond the
+    float32 range included, raises :class:`ValueError`.
     """
 
     tensors: np.ndarray
@@ -279,10 +281,13 @@ class Dataset:
     stats: NormalizationStats
 
     def __post_init__(self):
-        self.tensors = np.asarray(self.tensors, dtype=np.float64)
+        with np.errstate(over="ignore"):  # an overflow to inf fails the check below
+            self.tensors = np.ascontiguousarray(self.tensors, dtype=np.float32)
         self.labels = np.asarray(self.labels, dtype=np.float64)
         if self.tensors.shape[0] != self.labels.shape[0]:
             raise ValueError("tensors and labels disagree on sample count")
+        if not (np.isfinite(self.tensors).all() and np.isfinite(self.labels).all()):
+            raise ValueError("dataset holds non-finite tensor values or labels")
 
     def __len__(self):
         return self.tensors.shape[0]
@@ -292,15 +297,7 @@ class Dataset:
         return self.tensors.shape[1]
 
     def subset(self, indices):
-        return Dataset(
-            tensors=self.tensors[indices],
-            labels=self.labels[indices],
-            features=self.features,
-            window=self.window,
-            snr_db=self.snr_db,
-            n_buses=self.n_buses,
-            stats=self.stats,
-        )
+        return replace(self, tensors=self.tensors[indices], labels=self.labels[indices])
 
     def to_bytes(self):
         """Serialize to the documented little-endian container."""
@@ -344,10 +341,8 @@ class Dataset:
         maxima = np.frombuffer(blob, dtype="<f8", count=n_chan, offset=off).copy()
         off += 8 * n_chan
         records = np.frombuffer(blob, dtype=_record_dtype(length), count=n, offset=off)
-        if not (np.isfinite(records["row"]).all() and np.isfinite(records["label"]).all()):
-            raise ValueError("dataset holds non-finite tensor values or labels")
         return cls(
-            tensors=records["row"].astype(np.float64),
+            tensors=records["row"].copy(),
             labels=records["label"].copy(),
             features=head["features"],
             window=head["window"],

@@ -214,8 +214,11 @@ class TestGenData:
         (f"{OMEGA!r} 100.0 1.0\nG2", "inf 100.0 1.0\nG2", "nominal speed must be finite"),
         ("100.0 1.0\nG2", "inf 1.0\nG2", "rated power must be finite"),
         ("100.0 1.0\nG2", "100.0 nan\nG2", "generator G1: damping must be finite"),
+        ("3 load 30.0", "3 generator 30.0", "bus 3 is marked generator but hosts no generator"),
+        ("2 generator 0.0", "2 load 0.0", "bus 2 is marked load but hosts a generator"),
     ], ids=["inf-load", "nan-load", "self-loop", "nan-susceptance", "inf-susceptance",
-            "nan-inertia", "inf-speed", "inf-rating", "nan-damping"])
+            "nan-inertia", "inf-speed", "inf-rating", "nan-damping", "generator-kind-load-bus",
+            "load-kind-generator-bus"])
     def test_case_file_fails_closed(self, tmp_path, capsys, old, new, message):
         # gen_args sets two H values, where a NaN that got through would first
         # fail the cross-H network check under a message that does not name it
@@ -375,6 +378,8 @@ class TestTrainEval:
         ("compare-snr", 'dataset={"snr_db":Infinity,"amplitudes":[0.0,0.001]}',
          "train.snr_levels"),
         ("compare-snr", "train.snr_levels=[]", "train.snr_levels"),
+        # a probe injection bus that hosts no generator of the case
+        ("gen-data", "dataset.probe.injection_bus=99", "probe injection_bus"),
     ])
     def test_bad_model_value_fails_before_it_writes(self, tiny_case, tmp_path, capsys,
                                                     command, assignment, key):

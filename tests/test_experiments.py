@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from inertialab import plots
 from inertialab.dynamics import ProbingSignal
 from inertialab.grid import Branch, Bus, GeneratorParams, GridModel
 from inertialab.experiments import (
@@ -16,6 +17,7 @@ from inertialab.experiments import (
     SubsetScorer,
     TrainingDivergedError,
     TrainPlan,
+    TrainReport,
     default_h_grid,
     desk_amplitude_grid,
     exhaustive_subset_scores,
@@ -338,6 +340,34 @@ class TestTrainLoop:
         with pytest.raises(TrainingDivergedError):
             train(cfg, tr, va, epochs=10, seed=0, arch="lrcn")
 
+    def test_float64_built_dataset_trains_as_its_saved_copy(self):
+        # a dataset holds the float32 values its file stores, so both train
+        # alike and the report's fingerprint describes what was trained on
+        ds = toy_dataset(n=40, length=12)
+        reports = []
+        for data in (ds, Dataset.from_bytes(ds.to_bytes())):
+            tr, va = split(data, 0.8, 0)
+            reports.append(train(self.small_config(12), tr, va, epochs=3, seed=0,
+                                 arch="lrcn")[1])
+        assert reports[0].val_curve == reports[1].val_curve
+        assert reports[0].dataset_fingerprint == reports[1].dataset_fingerprint
+
+    def test_report_curve_rows_are_csv_rows(self, tmp_path):
+        # numpy scalars included: the report's rows are learning_curve.csv's
+        report = TrainReport(
+            arch="lrcn", epochs=2, train_curve=(0.5, np.float64(0.25)),
+            val_curve=(np.float64(1 / 3), 0.1), lr_trace=(0.02, np.float64(0.01)),
+            metrics=Metrics(mse=0.1, r2=0.5, acc10=1.0), val_predictions=np.zeros(2),
+            best_epoch=2, best_val_mse=0.1, dataset_fingerprint="00",
+        )
+        report.save(tmp_path / "report.txt", "config_fingerprint 00")
+        plots.write_csv(tmp_path / "curve.csv", ("epoch", "train_mse", "val_mse", "lr"),
+                        report.curve_rows())
+        lines = (tmp_path / "report.txt").read_text().splitlines()
+        curves = lines[lines.index("[CURVES]") + 1 : lines.index("[END]")]
+        assert curves == (tmp_path / "curve.csv").read_text().splitlines()
+        assert curves[2] == "2,0.25,0.1,0.01"
+
     def test_report_round_trip(self, tmp_path):
         ds = toy_dataset(n=20, length=24)
         tr, va = split(ds, 0.8, 0)
@@ -399,6 +429,25 @@ class TestDatasetGeneration:
         assert len(ds_a) == len(ds_b)
         np.testing.assert_array_equal(ds_a.labels, ds_b.labels)
         assert builder.clean_fingerprint() == builder.clean_fingerprint()
+
+    def test_build_does_not_depend_on_earlier_builds(self):
+        spec = self.spec(h_values=(3.0, 5.0), amplitudes=(0.002, 0.004))
+        builder = DatasetBuilder(tiny_grid(), spec)
+        builder.build(snr_db=60.0)
+        again = builder.build(snr_db=45.0).to_bytes()
+        assert again == DatasetBuilder(tiny_grid(), spec).build(snr_db=45.0).to_bytes()
+
+    def test_tensors_are_contiguous_float32(self):
+        built = DatasetBuilder(tiny_grid(), self.spec(h_values=(3.0, 5.0))).build()
+        toy = toy_dataset()  # built from float64 values
+        for ds in (built, Dataset.from_bytes(built.to_bytes()), built.subset(np.array([1, 0])),
+                   toy, *split(toy, 0.8, 0)):
+            assert ds.tensors.dtype == np.float32 and ds.tensors.flags.c_contiguous
+
+    def test_injection_bus_must_host_a_generator(self):
+        spec = self.spec(probe=ProbingSignal(injection_bus=3))  # bus 3 is a load bus
+        with pytest.raises(ValueError, match="probe injection_bus 3 hosts no generator"):
+            DatasetBuilder(tiny_grid(), spec)
 
     def test_snr_rows_reuse_clean_records(self):
         builder = DatasetBuilder(tiny_grid(), self.spec(h_values=(3.0,),

@@ -236,6 +236,20 @@ class TestReduction:
         net = build_reduced_network(grid)
         assert (net.coupling.sum(axis=1) < 0.0).all()
 
+    @pytest.mark.parametrize("kinds, message", [
+        (("generator", "generator", "generator"), "bus 3 is marked generator but hosts no"),
+        (("generator", "load", "load"), "bus 2 is marked load but hosts a generator"),
+    ])
+    def test_bus_kind_agrees_with_generators(self, kinds, message):
+        with pytest.raises(CaseValidationError, match=message):
+            GridModel(
+                buses=tuple(Bus(i, kind) for i, kind in enumerate(kinds, start=1)),
+                branches=(Branch(1, 3, 2.0), Branch(2, 3, 3.0)),
+                generators=(make_gen("a", 1, 4.0, 100.0), make_gen("b", 2, 3.0, 100.0)),
+                system_base=200.0,
+                monitored_buses=(1, 2),
+            )
+
     def test_machine_aggregation(self):
         # two units on one bus add their system-base swing coefficients
         grid = GridModel(

@@ -306,9 +306,8 @@ class TestDatasetContainer:
         rng = np.random.default_rng(3)
         raw = rng.normal(size=(n, length))
         stats = compute_normalization(raw, n_channels=2)
-        tensors = apply_normalization(raw, stats)
         return Dataset(
-            tensors=tensors.astype(np.float32).astype(np.float64),
+            tensors=apply_normalization(raw, stats),
             labels=rng.uniform(3.0, 8.0, n),
             features=FeatureSet(["speed", "rocof"]),
             window=(0.0, 1.0),
@@ -380,6 +379,13 @@ class TestDatasetContainer:
         sub = ds.subset(np.array([0, 2]))
         assert len(sub) == 2
         np.testing.assert_array_equal(sub.labels, ds.labels[[0, 2]])
+
+    def test_value_beyond_float32_rejected(self):
+        ds = self.make_dataset()
+        tensors = ds.tensors.astype(np.float64)
+        tensors[-1, 0] = 1e300  # finite in float64, inf in float32
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset(tensors, ds.labels, ds.features, ds.window, ds.snr_db, ds.n_buses, ds.stats)
 
     def test_bad_magic(self):
         with pytest.raises(ValueError):
