@@ -12,9 +12,10 @@ kind.  Every value is then checked by the dataclass it builds, the probe's
 injection bus against the case's generator buses, and the model sizes
 against the data of a command that trains and ``compare-snr``'s noise
 levels against the dataset spec, before any command simulates or writes
-anything.  The fully resolved configuration is echoed into the run
-manifest.  Exit codes: 0 success, 2 I/O failure, 3 validation failure,
-4 dataset length not the checkpoint's input length, 5 training divergence.
+anything; ``eval`` also loads its checkpoint and predicts before it writes.
+The fully resolved configuration is echoed into the run manifest.  Exit
+codes: 0 success, 2 I/O failure, 3 validation failure, 4 dataset length
+not the checkpoint's input length, 5 training divergence.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import plots
 from .dynamics import ProbingSignal, SimConfig
@@ -266,8 +269,8 @@ def _train(out, cfg, data, builder, config, plan):
     model.save(out / "model.bin")
     stamp = _stamp(cfg)
     report.save(out / "report.txt", stamp)
-    plots.write_csv(out / "learning_curve.csv", ("epoch", "train_mse", "val_mse", "lr"),
-                    report.curve_rows(), comment=stamp)
+    plots.write_csv(out / "learning_curve.csv", report.CURVE_COLUMNS, report.curve_rows(),
+                    comment=stamp)
     plots.write_line_svg(
         out / "learning_curve.svg",
         {"train": _curve(report.train_curve), "validation": _curve(report.val_curve)},
@@ -283,17 +286,37 @@ def _train(out, cfg, data, builder, config, plan):
     )
 
 
-def _eval(out, cfg, data, builder, config, plan):
+# Overflow is caught where it matters: check_finite turns a non-finite value
+# entering a layer into FloatingPointError, so numpy's warnings are noise.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _evaluate(cfg, data, builder, plan):
+    """What ``eval`` writes, computed before it takes the output directory: a
+    checkpoint that fails to load, or whose forward pass turns non-finite,
+    leaves nothing behind.  Returns the architecture, the dataset, the
+    validation labels and the predictions."""
     model_path = cfg["paths"]["model"]
     if not model_path:
         raise ValueError("eval requires a model checkpoint (--model or paths.model)")
     model = load_model(model_path)
-    dataset = _load_or_generate_dataset(data, builder, out)
+    dataset = builder.build() if data is None else data
     _, val_set = split(dataset, plan.train_fraction, plan.split_seed)
-    predictions = predict(model, val_set)
-    metrics = metrics_from_predictions(val_set.labels, predictions)
-    _write_evaluation(out, _stamp(cfg), model.arch, val_set.labels, predictions, metrics)
-    return {"metrics": vars(metrics)}, {"samples": len(val_set), **vars(metrics)}
+    try:
+        predictions = predict(model, val_set)
+    except FloatingPointError as exc:  # check_finite names the layer
+        raise ValueError(f"checkpoint {model_path}: {exc} in eval") from None
+    if not np.isfinite(predictions).all():
+        raise ValueError(f"checkpoint {model_path}: non-finite values leaving the out layer "
+                         "in eval")
+    return model.arch, dataset, val_set.labels, predictions
+
+
+def _eval(out, cfg, data, builder, config, plan, evaluation):
+    arch, dataset, labels, predictions = evaluation
+    if data is None:
+        dataset.save(out / "dataset.bin")
+    metrics = metrics_from_predictions(labels, predictions)
+    _write_evaluation(out, _stamp(cfg), arch, labels, predictions, metrics)
+    return {"metrics": vars(metrics)}, {"samples": len(labels), **vars(metrics)}
 
 
 def _write_arms(out, stamp, name, column, arms, report_prefix, title):
@@ -435,8 +458,9 @@ def run_command(cfg, command):
         _check_model_fits(command, *values)
     if command == "compare-snr":
         _check_snr_levels(spec, plan)
+    early = {"evaluation": _evaluate(cfg, data, builder, plan)} if command == "eval" else {}
     with _output_dir(cfg) as out:
-        extra, summary = _COMMANDS[command](out, cfg, *values)
+        extra, summary = _COMMANDS[command](out, cfg, *values, **early)
         manifest = {"config": cfg, "config_fingerprint": run_fingerprint(cfg),
                     "command": command, **extra}
         text = json.dumps(manifest, indent=2, sort_keys=True)

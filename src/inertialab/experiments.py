@@ -191,11 +191,14 @@ class DatasetBuilder:
     probe's injection bus must host a generator.
 
     Inertia scaling changes only the swing coefficients of the reduced
-    network, so all cells share one RK4 loop per block of whole H groups,
-    with the inertia carried per row.  The block's samples go into one
-    full-rate float64 [row, channel, bus, sample] buffer; a block holds as
-    many H groups as fit into ``_BLOCK_BYTES`` and always at least one.
-    The buffer is allocated once and reused for every block: each row is
+    network, so the cells of a block share one RK4 loop, with the inertia
+    carried per row.  The corpus takes as many blocks as whole H groups
+    would need, at as many groups per block as fit into ``_BLOCK_BYTES``
+    and always at least one, and spreads its (H, amplitude) rows evenly
+    over them: block sizes differ by at most one row, and a block may end
+    inside an H group.  A block's samples go into one full-rate float64
+    [row, channel, bus, sample] buffer of the largest block's rows,
+    allocated once and reused for every block: each row is
     wrapped as a :class:`PmuRecordSet` view, resampled (and transformed)
     before the next block overwrites it, so no full-rate record outlives
     its block.
@@ -232,23 +235,25 @@ class DatasetBuilder:
         ]
         _check_only_inertia_differs(nets)
         n_amp = len(spec.amplitudes)
+        n_rows = len(nets) * n_amp
         row_shape = (len(PmuRecordSet.CHANNELS), len(monitored), spec.sim.n_samples)
         group_bytes = 8 * n_amp * math.prod(row_shape)
         per_block = max(1, min(len(nets), _BLOCK_BYTES // max(group_bytes, 1)))
-        buffer = np.empty((per_block * n_amp, *row_shape))
+        n_blocks = -(-len(nets) // per_block)
+        bounds = [n_rows * b // n_blocks for b in range(n_blocks + 1)]
+        inertia = np.repeat([net.inertia for net in nets], n_amp, axis=0)
+        amplitudes = np.tile(spec.amplitudes, len(nets))
+        buffer = np.empty((-(-n_rows // n_blocks), *row_shape))
         records = []
-        for first in range(0, len(nets), per_block):
-            block = nets[first : first + per_block]
-            rows = len(block) * n_amp
-            inertia = np.repeat([net.inertia for net in block], n_amp, axis=0)
+        for first, stop in itertools.pairwise(bounds):
+            rows = stop - first
             try:
-                _integrate_rows(block[0], spec.probe, spec.sim, inertia,
-                                spec.amplitudes * len(block), monitored, buffer[:rows])
+                _integrate_rows(nets[0], spec.probe, spec.sim, inertia[first:stop],
+                                amplitudes[first:stop], monitored, buffer[:rows])
             except InstabilityError as exc:
-                offset, ai = divmod(exc.trajectory, n_amp)
-                raise GenerationError(first + offset, ai, exc) from exc
+                raise GenerationError(*divmod(first + exc.trajectory, n_amp), exc) from exc
             for row in range(rows):
-                hi, ai = first + row // n_amp, row % n_amp
+                hi, ai = divmod(first + row, n_amp)
                 rec = PmuRecordSet(
                     rate=float(spec.sim.pmu_rate),
                     bus_ids=monitored,
@@ -366,8 +371,11 @@ class TrainReport:
     best_val_mse: float
     dataset_fingerprint: str
 
+    # the columns of curve_rows, in the report and in learning_curve.csv
+    CURVE_COLUMNS = ("epoch", "train_mse", "val_mse", "lr")
+
     def curve_rows(self):
-        """Per-epoch ``(epoch, train_mse, val_mse, lr)`` rows."""
+        """Per-epoch rows of ``CURVE_COLUMNS``."""
         return list(zip(itertools.count(1), self.train_curve, self.val_curve, self.lr_trace))
 
     def save(self, path, stamp):
@@ -386,9 +394,8 @@ class TrainReport:
             f"final_r2 {self.metrics.r2!r}",
             f"final_acc10 {self.metrics.acc10!r}",
             "[CURVES]",
-            "epoch,train_mse,val_mse,lr",
         ]
-        lines += [plots.csv_row(row) for row in self.curve_rows()]
+        lines += [plots.csv_row(row) for row in (self.CURVE_COLUMNS, *self.curve_rows())]
         lines.append("[END]")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -401,8 +408,9 @@ def train(config, train_set, val_set, epochs, seed, arch):
     """Gradient-descent training with the plateau schedule.
 
     Per epoch: seeded shuffle, fixed-size batches (the trailing short batch
-    is kept), forward, MSE, backprop, plain descent update; then one
-    validation pass drives the learning-rate schedule.  The parameters of
+    is kept), forward, MSE, backprop, plain descent update, after which the
+    batch's gradients are released, so the next pass never holds them; then
+    one validation pass drives the learning-rate schedule.  The parameters of
     the best validation epoch are retained on the returned model.  An
     improving epoch that is not the last is copied into one snapshot,
     allocated at the first such epoch and then overwritten in place.  So a
@@ -443,6 +451,7 @@ def train(config, train_set, val_set, epochs, seed, arch):
                 if not math.isfinite(loss):
                     raise TrainingDivergedError(epoch, batch_no)
                 model.apply_gradients(grads, lr)
+                del grads  # freed before the next pass builds its own
                 squared_sum += loss * len(idx)
             batch_no = -1
             val_mse = layers.mse(val_set.labels, predict(model, val_set))

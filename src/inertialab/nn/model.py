@@ -94,26 +94,41 @@ class LrcnConfig:
         return self.conv_output_len * self.conv2_channels
 
 
-def _he_uniform(rng, shape, fan_in):
-    limit = np.sqrt(6.0 / fan_in)
+def _he_uniform(rng, shape):
+    limit = np.sqrt(6.0 / math.prod(shape[1:]))  # fan-in: every axis but the output's
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _bias_init(rng, width):
+def _bias_init(rng, shape):
     # small nonzero offsets keep ReLU pre-activations off the exact kink
-    return rng.uniform(-0.05, 0.05, size=width)
+    return rng.uniform(-0.05, 0.05, size=shape)
 
 
-def _head_params(rng, sizes, in_dim):
-    params = {}
+def _lstm_weight(rng, shape):
+    return rng.uniform(-LSTM_INIT_SCALE, LSTM_INIT_SCALE, size=shape)
+
+
+def _lstm_bias(rng, shape):
+    bias = np.zeros(shape)
+    units = shape[0] // 4
+    bias[units : 2 * units] = LSTM_FORGET_BIAS
+    return bias
+
+
+def _zeros(rng, shape):
+    return np.zeros(shape)
+
+
+def _head_layout(sizes, in_dim):
+    layout = {}
     prev = in_dim
     for idx, width in enumerate(sizes, start=1):
-        params[f"head{idx}_w"] = _he_uniform(rng, (width, prev), prev)
-        params[f"head{idx}_b"] = _bias_init(rng, width)
+        layout[f"head{idx}_w"] = ((width, prev), _he_uniform)
+        layout[f"head{idx}_b"] = ((width,), _bias_init)
         prev = width
-    params["out_w"] = _he_uniform(rng, (1, prev), prev)
-    params["out_b"] = np.zeros(1)
-    return params
+    layout["out_w"] = ((1, prev), _he_uniform)
+    layout["out_b"] = ((1,), _zeros)
+    return layout
 
 
 def _head_forward(params, n_hidden, x):
@@ -159,23 +174,23 @@ class _RegressionNet:
         self.best_val_mse = best_val_mse
 
     @classmethod
+    def layout(cls, config):
+        """Name -> (shape, initializer) of every parameter ``config`` defines,
+        in the order ``initialize`` draws them."""
+        c1, c2, k = config.conv1_channels, config.conv2_channels, config.kernel_size
+        return {
+            "conv1_w": ((c1, 1, k), _he_uniform),
+            "conv1_b": ((c1,), _bias_init),
+            "conv2_w": ((c2, c1, k), _he_uniform),
+            "conv2_b": ((c2,), _bias_init),
+            **cls._extra_layout(config),
+            **_head_layout(config.head_sizes, cls._head_input(config)),
+        }
+
+    @classmethod
     def initialize(cls, config):
         rng = np.random.default_rng(config.seed)
-        k = config.kernel_size
-        params = {
-            "conv1_w": _he_uniform(
-                rng, (config.conv1_channels, 1, k), fan_in=k
-            ),
-            "conv1_b": _bias_init(rng, config.conv1_channels),
-            "conv2_w": _he_uniform(
-                rng,
-                (config.conv2_channels, config.conv1_channels, k),
-                fan_in=k * config.conv1_channels,
-            ),
-            "conv2_b": _bias_init(rng, config.conv2_channels),
-        }
-        params.update(cls._extra_params(rng, config))
-        params.update(_head_params(rng, config.head_sizes, cls._head_input(config)))
+        params = {name: init(rng, shape) for name, (shape, init) in cls.layout(config).items()}
         return cls(config, params)
 
     def _conv_stack(self, batch, stride=1):
@@ -262,16 +277,12 @@ class LrcnModel(_RegressionNet):
         return config.lstm_units
 
     @staticmethod
-    def _extra_params(rng, config):
-        scale = LSTM_INIT_SCALE
-        shape_in = (config.conv2_channels, 4 * config.lstm_units)
-        shape_rec = (config.lstm_units, 4 * config.lstm_units)
-        bias = np.zeros(4 * config.lstm_units)
-        bias[config.lstm_units : 2 * config.lstm_units] = LSTM_FORGET_BIAS
+    def _extra_layout(config):
+        gates = 4 * config.lstm_units
         return {
-            "lstm_w_in": rng.uniform(-scale, scale, size=shape_in),
-            "lstm_w_rec": rng.uniform(-scale, scale, size=shape_rec),
-            "lstm_b": bias,
+            "lstm_w_in": ((config.conv2_channels, gates), _lstm_weight),
+            "lstm_w_rec": ((config.lstm_units, gates), _lstm_weight),
+            "lstm_b": ((gates,), _lstm_bias),
         }
 
     def _forward(self, batch, keep_cache):
@@ -314,7 +325,7 @@ class CnnModel(_RegressionNet):
         return config.flatten_size
 
     @staticmethod
-    def _extra_params(rng, config):
+    def _extra_layout(config):
         return {}
 
     def _forward(self, batch, keep_cache):
@@ -418,9 +429,13 @@ def read_checkpoint(fh):
 
     Every declared size is checked against the bytes present: a stream that
     ends early, or holds anything after the training state, is rejected.
-    Each parameter is read straight into its own new array.
+    The parameter table must hold exactly the names and shapes of the
+    ``layout`` that the header's architecture and config define, each once
+    and with finite values only; a message names the first parameter that
+    breaks this.  Each parameter is read straight into its own new array.
     """
     header = read_checkpoint_header(fh)
+    layout = _ARCHS[header["arch"]].layout(LrcnConfig(**header["config"]))
     (n_params,) = struct.unpack("<I", _read_exact(fh, 4, "parameter count"))
     params = {}
     for _ in range(n_params):
@@ -429,10 +444,23 @@ def read_checkpoint(fh):
         (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "parameter table"))
         shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, "parameter table"))
         what = f"parameter {name!r}"
+        if name in params:
+            raise ValueError(f"checkpoint {what} appears twice")
+        if name not in layout:
+            raise ValueError(f"checkpoint {what} is not a parameter of its {header['arch']} "
+                             "architecture")
+        if shape != layout[name][0]:
+            raise ValueError(f"checkpoint {what} has shape {shape}; its architecture "
+                             f"and config need {layout[name][0]}")
         _check_remaining(fh, 8 * math.prod(shape), what)
         params[name] = np.empty(shape, dtype="<f8")
         if fh.readinto(params[name]) != params[name].nbytes:
             raise ValueError(f"checkpoint truncated in its {what}")
+        if not np.isfinite(params[name]).all():
+            raise ValueError(f"checkpoint {what} holds non-finite values")
+    missing = [name for name in layout if name not in params]
+    if missing:
+        raise ValueError(f"checkpoint lacks parameter {missing[0]!r}")
     trailer = struct.Struct("<Qdd")
     state = trailer.unpack(_read_exact(fh, trailer.size, "training state"))
     if fh.read(1):

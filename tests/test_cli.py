@@ -356,6 +356,7 @@ class TestTrainEval:
             "--set", f'case="{tiny_case}"',
         ])
         assert rc == 4
+        assert not (tmp_path / "eval2").exists()  # found before eval writes
 
     @pytest.mark.parametrize("command, assignment, key", [
         ("train", "model.kernel_size=0", "kernel_size"),
@@ -445,6 +446,39 @@ class TestTrainEval:
             assert rc == 3, blob
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert not (tmp_path / "x").exists()
+
+    # numpy's overflow warning would be a second stderr line
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("damage, named", [
+        (lambda p: p.pop("out_b"), "lacks parameter 'out_b'"),
+        (lambda p: p.update(extra_w=np.zeros(1)), "'extra_w' is not a parameter"),
+        (lambda p: p.update(conv1_b=np.zeros(3)), "'conv1_b' has shape (3,)"),
+        (lambda p: p.update(out_w=p["out_w"].T.copy()), "'out_w' has shape"),
+        (lambda p: p["conv1_w"].flat.__setitem__(0, np.nan), "'conv1_w' holds non-finite"),
+        # finite weights whose forward pass overflows inside conv1, or in the
+        # out layer, whose output no later layer checks
+        (lambda p: p["conv1_w"].fill(1e308), "non-finite values entering relu"),
+        (lambda p: (p["head1_b"].fill(1e300), p["out_w"].fill(1e300)), "leaving the out layer"),
+    ], ids=["missing", "unknown", "misshapen", "transposed", "nan", "overflowing",
+            "overflowing-out"])
+    def test_bad_parameter_table_fails_before_it_writes(self, tiny_case, tmp_path, capsys,
+                                                        damage, named):
+        data = tmp_path / "data"
+        assert main(gen_args(tiny_case, data)) == 0  # 4 samples of length 800
+        capsys.readouterr()
+        model = make_model("cnn", LrcnConfig(input_len=800, conv1_channels=2, conv2_channels=2,
+                                             head_sizes=(2,)))
+        damage(model.params)
+        model.save(tmp_path / "model.bin")
+        out = tmp_path / "eval"
+        rc = main(["eval", "--out", str(out), "--model", str(tmp_path / "model.bin"),
+                   "--data", str(data / "dataset.bin"), "--set", f'case="{tiny_case}"'])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert named in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("where", ["tensors", "labels"])
     def test_non_finite_dataset_exit_code(self, tiny_case, tmp_path, capsys, where):

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +30,7 @@ from inertialab.experiments import (
     wrapper_feature_selection,
 )
 from inertialab.nn import layers
-from inertialab.nn.model import LrcnConfig, LrcnModel
+from inertialab.nn.model import LrcnConfig, LrcnModel, _RegressionNet
 from inertialab.signals import Dataset, FeatureSet, NormalizationStats
 
 OMEGA = 2.0 * math.pi * 60.0
@@ -266,6 +267,27 @@ class TestTrainLoop:
         train(self.small_config(24), tr, va, epochs=epochs, seed=0, arch="lrcn")
         assert len(calls) <= most
 
+    @pytest.mark.parametrize("arch", ["lrcn", "cnn"])
+    def test_step_frees_its_gradients_before_the_next_pass(self, arch, monkeypatch):
+        # each batch's gradient arrays die once the update has used them, so no
+        # pass runs beside the previous step's gradients (the CNN's largest is
+        # its first dense layer's, as wide as the parameter itself)
+        previous, passes = [], []
+        forward_backward = _RegressionNet.forward_backward
+
+        def spy(model, batch, targets):
+            assert all(ref() is None for ref in previous), f"pass {len(passes) + 1}"
+            passes.append(1)
+            pred, loss, grads = forward_backward(model, batch, targets)
+            previous[:] = [weakref.ref(g) for g in grads.values()]
+            return pred, loss, grads
+
+        monkeypatch.setattr(_RegressionNet, "forward_backward", spy)
+        ds = toy_dataset(n=24, length=24)
+        tr, va = split(ds, 0.8, 0)
+        train(self.small_config(24), tr, va, epochs=2, seed=0, arch=arch)
+        assert len(passes) == 2 * 3  # 19 samples in batches of 8, for two epochs
+
     def test_curve_lengths_match_epochs(self):
         ds = toy_dataset(n=20, length=24)
         tr, va = split(ds, 0.8, 0)
@@ -361,11 +383,11 @@ class TestTrainLoop:
             best_epoch=2, best_val_mse=0.1, dataset_fingerprint="00",
         )
         report.save(tmp_path / "report.txt", "config_fingerprint 00")
-        plots.write_csv(tmp_path / "curve.csv", ("epoch", "train_mse", "val_mse", "lr"),
-                        report.curve_rows())
+        plots.write_csv(tmp_path / "curve.csv", report.CURVE_COLUMNS, report.curve_rows())
         lines = (tmp_path / "report.txt").read_text().splitlines()
         curves = lines[lines.index("[CURVES]") + 1 : lines.index("[END]")]
         assert curves == (tmp_path / "curve.csv").read_text().splitlines()
+        assert curves[0] == "epoch,train_mse,val_mse,lr"
         assert curves[2] == "2,0.25,0.1,0.01"
 
     def test_report_round_trip(self, tmp_path):
@@ -476,6 +498,21 @@ class TestDatasetGeneration:
             DatasetBuilder(tiny_grid(), spec).build()
         assert (err.value.h_index, err.value.amp_index) == (1, 1)
 
+    def test_instability_in_block_starting_inside_a_group(self, monkeypatch):
+        from inertialab import experiments
+        from inertialab.experiments import GenerationError
+
+        # a two-group budget splits the six rows 3 + 3, so the second block
+        # starts at H index 1, amplitude index 1: the one unstable cell
+        grid = tiny_grid()
+        spec = self.spec(h_values=(8.0, 3.0, 8.0), amplitudes=(0.001, 10.0))
+        n_samples = DatasetBuilder(grid, spec).spec.sim.n_samples
+        monkeypatch.setattr(experiments, "_BLOCK_BYTES",
+                            2 * 3 * 8 * 2 * len(grid.monitored_buses) * n_samples)
+        with pytest.raises(GenerationError) as err:
+            DatasetBuilder(grid, spec).clean_records()
+        assert (err.value.h_index, err.value.amp_index) == (1, 1)
+
     def test_networks_differing_beyond_inertia_rejected(self, monkeypatch):
         from inertialab import experiments
 
@@ -517,7 +554,7 @@ class TestDatasetGeneration:
         monkeypatch.setattr(experiments, "_integrate_rows", spy)
         group_bytes = 3 * 8 * 2 * len(grid.monitored_buses) * spec.sim.n_samples
         fingerprints = set()
-        for groups, loops in ((1, [2, 2, 2]), (2, [4, 2]), (3, [6])):
+        for groups, loops in ((1, [2, 2, 2]), (2, [3, 3]), (3, [6])):
             monkeypatch.setattr(experiments, "_BLOCK_BYTES", groups * group_bytes)
             rows_per_loop.clear()
             builder = DatasetBuilder(grid, spec)
