@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
-import io
 import json
 import os
 import sys
@@ -470,13 +469,17 @@ def run_command(cfg, command):
 
 
 def cmd_inspect(path):
-    blob = Path(path).read_bytes()
-    if blob.startswith(DATASET_MAGIC):
-        info = {"kind": "dataset", **Dataset.header_from_bytes(blob)}
-    elif blob.startswith(MODEL_MAGIC):
-        info = {"kind": "model", **read_checkpoint(io.BytesIO(blob))[0]}
-    else:
-        raise ValueError(f"unrecognized file magic in {path}")
+    # a checkpoint is read from the file itself, so its parameters are held
+    # once; a dataset's header is checked against the size of the whole blob
+    with open(path, "rb") as fh:
+        magic = fh.read(len(MODEL_MAGIC))
+        fh.seek(0)
+        if magic == DATASET_MAGIC:
+            info = {"kind": "dataset", **Dataset.header_from_bytes(fh.read())}
+        elif magic == MODEL_MAGIC:
+            info = {"kind": "model", **read_checkpoint(fh)[0]}
+        else:
+            raise ValueError(f"unrecognized file magic in {path}")
     print(json.dumps(info, sort_keys=True))
     return 0
 

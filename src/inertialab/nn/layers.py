@@ -30,7 +30,8 @@ __all__ = [
     "sgd_step",
 ]
 
-# Steps whose input products share one GEMM when no backward cache is kept.
+# Steps whose input products share one GEMM when no backward cache is kept,
+# and steps per kept cell state when one is.
 STREAM_CHUNK = 64
 # Elements per slice of an SGD update: a 512 KB temporary.
 SGD_CHUNK = 1 << 16
@@ -215,20 +216,21 @@ def lstm_forward(x, w_in, w_rec, bias, keep_cache=True):
     [B, 4l] row in place and computes the gate values on that contiguous
     row: the sigmoid of every column goes back over the row, and the
     candidate columns are then overwritten with their tanh, taken from the
-    pre-activations into a [B, l] scratch first.  The hidden state
-    alternates between two rows.  The two modes differ only in how many
-    gate rows and cell rows there are:
+    pre-activations into a [B, l] scratch first.  The hidden and cell
+    states each alternate between two rows.  The two modes differ in how
+    many gate rows there are and in what is kept:
 
     * ``keep_cache=True`` (training): one product fills a [T, B, 4l] buffer,
-      whose rows keep the gate values, and the cell state of every step is
-      kept in a [T + 1, B, l] buffer (row 0 is the zero initial state).
-      Returns ``(h, (x, w_in, w_rec, gates, cells))`` for
-      :func:`lstm_backward`, which recomputes the hidden states it needs
-      from those two buffers.
+      whose rows keep the gate values, and the cell state after every
+      ``STREAM_CHUNK`` steps, and after the last step, is copied into a
+      [ceil(T / STREAM_CHUNK) + 1, B, l] buffer of kept cells (row 0 is the
+      zero initial state, the last row the final cell).  Returns
+      ``(h, (x, w_in, w_rec, gates, kept))`` for :func:`lstm_backward`,
+      which recomputes the cell and hidden states it needs from those two
+      buffers.
     * ``keep_cache=False`` (inference): one product per
-      ``STREAM_CHUNK`` steps fills a [STREAM_CHUNK, B, 4l] buffer, the
-      cell state also alternates between two rows and the candidate
-      columns are not written back.  Returns ``(h, None)``.
+      ``STREAM_CHUNK`` steps fills a [STREAM_CHUNK, B, 4l] buffer, and the
+      candidate columns are not written back.  Returns ``(h, None)``.
 
     Every value comes from the same floating-point operations, in the same
     order, as a plain step-by-step loop, so both modes give the same bits.
@@ -239,12 +241,12 @@ def lstm_forward(x, w_in, w_rec, bias, keep_cache=True):
     b, t_steps, _ = x.shape
     units = w_rec.shape[0]
     chunk = t_steps if keep_cache else STREAM_CHUNK
-    rows = t_steps + 1 if keep_cache else 2
     bias_rows = np.tile(bias, (b, 1))
     x_steps = x.transpose(1, 0, 2)
     gates = np.empty((min(chunk, t_steps), b, 4 * units))
-    cells = np.zeros((rows, b, units))
-    hiddens = np.zeros((2, b, units))
+    if keep_cache:
+        kept = np.zeros((-(-t_steps // STREAM_CHUNK) + 1, b, units))
+    cells, hiddens = np.zeros((2, 2, b, units))
     rec, num, den, sign = np.empty((4, b, 4 * units))
     gg, ig = np.empty((2, b, units))
     i_cols, f_cols, g_cols, o_cols = (slice(k * units, (k + 1) * units) for k in range(4))
@@ -253,7 +255,7 @@ def lstm_forward(x, w_in, w_rec, bias, keep_cache=True):
             block = x_steps[t : t + chunk]
             np.matmul(block, w_in, out=gates[: len(block)])
         z = gates[t % chunk]
-        prev, cur = t % rows, (t + 1) % rows
+        c_prev, c = cells[t % 2], cells[(t + 1) % 2]
         h_prev, h = hiddens[t % 2], hiddens[(t + 1) % 2]
         np.matmul(h_prev, w_rec, out=rec)
         z += rec
@@ -269,28 +271,38 @@ def lstm_forward(x, w_in, w_rec, bias, keep_cache=True):
         np.maximum(num, sign, out=num)
         np.tanh(z[:, g_cols], out=gg)
         np.divide(num, den, out=z)
-        if keep_cache:
-            z[:, g_cols] = gg
-        c = cells[cur]
-        np.multiply(z[:, f_cols], cells[prev], out=c)
+        np.multiply(z[:, f_cols], c_prev, out=c)
         np.multiply(z[:, i_cols], gg, out=ig)
         c += ig
         np.tanh(c, out=h)
         h *= z[:, o_cols]
-    cache = (x, w_in, w_rec, gates, cells) if keep_cache else None
+        if keep_cache:
+            z[:, g_cols] = gg
+            if (t + 1) % STREAM_CHUNK == 0 or t + 1 == t_steps:
+                np.copyto(kept[-(-(t + 1) // STREAM_CHUNK)], c)
+    cache = (x, w_in, w_rec, gates, kept) if keep_cache else None
     return hiddens[t_steps % 2], cache
 
 
 def lstm_backward(cache, grad_h, *, d_x=None):
     """Backpropagate through time from the final-hidden-state gradient.
 
-    The cache holds no hidden states: step t recomputes the previous one,
-    ``h_{t-1} = tanh(c_{t-1}) * o_{t-1}``, from the kept cells and the
+    The cache holds one cell state per ``STREAM_CHUNK`` steps.  When the
+    loop reaches the last step of a segment of ``STREAM_CHUNK`` steps, it
+    recomputes the segment's cells into one [STREAM_CHUNK + 1, B, l]
+    buffer, starting from the segment's kept cell: ``i * g`` for the whole
+    segment in one product, then ``f * c_prev`` and its sum with ``i * g``
+    step by step.  The gate rows of the segment are untouched at that
+    point, and these are the forward's own operations on the forward's own
+    values (the sum in the other operand order, which gives the same
+    bits), so every cell has the forward's bits.
+
+    The cache holds no hidden states either: step t recomputes the previous
+    one, ``h_{t-1} = tanh(c_{t-1}) * o_{t-1}``, from the cells and the
     output-gate columns of row t - 1, which the steps so far have not
     touched (``h_{-1}`` is the zero initial state).  That tanh is the
     ``tanh(c)`` step t - 1 needs, so it is carried there: one tanh per
-    step, as before.  These are the forward's own operations on the
-    forward's own values, so ``h_{t-1}`` has its bits.
+    step, as before.
 
     Each step writes its gate gradient ``d_z`` over its gate values, which
     are dead by then, so the cache is consumed: it cannot be backpropagated
@@ -302,10 +314,10 @@ def lstm_backward(cache, grad_h, *, d_x=None):
     row t of ``x`` for ``d_w_in`` before it writes row t of ``d_x``, and the
     later steps read only rows below t.
     """
-    x, w_in, w_rec, gates, cells = cache
+    x, w_in, w_rec, gates, kept = cache
     t_steps, b, four_units = gates.shape
     units = four_units // 4
-    o_cols = slice(3 * units, 4 * units)
+    i_cols, f_cols, g_cols, o_cols = (slice(k * units, (k + 1) * units) for k in range(4))
     if d_x is None:
         d_x = np.empty_like(x)
     d_w_in = np.zeros_like(w_in)
@@ -314,15 +326,29 @@ def lstm_backward(cache, grad_h, *, d_x=None):
     d_h = np.asarray(grad_h, dtype=np.float64).copy()
     d_c = np.zeros((b, units))
     tanh_c, tanh_prev, h_prev, tmp, tmp2 = np.empty((5, b, units))
-    np.tanh(cells[t_steps], out=tanh_c)
+    np.tanh(kept[-1], out=tanh_c)
+    cells = np.empty((min(STREAM_CHUNK, t_steps) + 1, b, units))
     slots, d_gate, slope = np.empty((3, 4, b, units))
     gi, gf, gg, go = slots
     for t in range(t_steps - 1, -1, -1):
+        start = t - t % STREAM_CHUNK
+        if t == t_steps - 1 or t % STREAM_CHUNK == STREAM_CHUNK - 1:
+            segment = gates[start : t + 1]
+            np.copyto(cells[0], kept[start // STREAM_CHUNK])
+            # i * g of each step, to which its f * c_prev is then added; the
+            # copy of i leaves numpy one strided operand to buffer, not two
+            ig = cells[1 : len(segment) + 1]
+            np.copyto(ig, segment[:, :, i_cols])
+            ig *= segment[:, :, g_cols]
+            for s, z in enumerate(segment):
+                np.multiply(z[:, f_cols], cells[s], out=tmp)
+                cells[s + 1] += tmp
+        c_prev = cells[t - start]
         d_z = gates[t]
         d_z_slots = d_z.reshape(b, 4, units).transpose(1, 0, 2)
         np.copyto(slots, d_z_slots)
         if t:
-            np.tanh(cells[t], out=tanh_prev)
+            np.tanh(c_prev, out=tanh_prev)
             np.multiply(tanh_prev, gates[t - 1][:, o_cols], out=h_prev)
         else:
             h_prev.fill(0.0)
@@ -333,7 +359,7 @@ def lstm_backward(cache, grad_h, *, d_x=None):
         d_c += tmp
         # gradients of the gate values: c = f*c_prev + i*g, h = o*tanh(c)
         np.multiply(d_c, gg, out=d_gate[0])
-        np.multiply(d_c, cells[t], out=d_gate[1])
+        np.multiply(d_c, c_prev, out=d_gate[1])
         np.multiply(d_c, gi, out=d_gate[2])
         np.multiply(d_h, tanh_c, out=d_gate[3])
         # times the slopes a * (1 - a) of the sigmoids and 1 - g^2 of tanh

@@ -1,6 +1,7 @@
 """Command-line surface: artifacts, determinism, exit codes."""
 
 import builtins
+import contextlib
 import io
 import json
 import math
@@ -8,11 +9,14 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inertialab import cli, experiments
 from inertialab.cli import _profile_defaults, build_parser, main, resolve_config, run_fingerprint
@@ -92,14 +96,19 @@ BAD_CHECKPOINT_HEADERS = (
 )
 
 
-def bad_checkpoint_blobs(tmp_path):
-    """A valid checkpoint cut inside its (epoch, lr, best) trailer or with 2
-    trailing bytes, and a header length beyond the end of the file."""
+def tiny_checkpoint_blob(tmp_path):
+    """A valid checkpoint of a tiny LRCN."""
     path = tmp_path / "good-model.bin"
     config = LrcnConfig(input_len=8, conv1_channels=2, conv2_channels=2,
                         lstm_units=2, head_sizes=(2,))
     make_model("lrcn", config).save(path)
-    good = path.read_bytes()
+    return path.read_bytes()
+
+
+def bad_checkpoint_blobs(tmp_path):
+    """A valid checkpoint cut inside its (epoch, lr, best) trailer or with 2
+    trailing bytes, and a header length beyond the end of the file."""
+    good = tiny_checkpoint_blob(tmp_path)
     return [good[:-5], good + b"\0\0", b"LRCNMDL1" + struct.pack("<Q", 1 << 40)]
 
 
@@ -619,6 +628,53 @@ class TestInspect:
             assert main(["inspect", str(path)]) == 3, blob
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+    def test_checkpoint_parameters_held_once(self, tmp_path, capsys):
+        # the checkpoint is read from the file, not from a copy of its bytes
+        model = make_model("cnn", LrcnConfig(head_sizes=(20,)))
+        param_bytes = sum(p.nbytes for p in model.params.values())
+        assert param_bytes >= 10 << 20
+        path = tmp_path / "model.bin"
+        model.save(path)
+        del model
+        assert main(["inspect", str(path)]) == 0  # imports happen untraced
+        tracemalloc.start()
+        try:
+            assert main(["inspect", str(path)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * param_bytes
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["arch"] == "cnn"
+
+    @pytest.fixture(scope="class")
+    def tiny_files(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("inspect")
+        return tmp / "damaged.bin", [tiny_checkpoint_blob(tmp), dataset_blob()]
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_damaged_file_fails_cleanly(self, tiny_files, data):
+        # a tiny checkpoint or dataset cut short or with 1-4 bytes overwritten
+        # is read or rejected with one error line, never a traceback
+        path, blobs = tiny_files
+        blob = bytearray(data.draw(st.sampled_from(blobs), label="file"))
+        if data.draw(st.booleans(), label="cut"):
+            blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+            new = data.draw(st.binary(min_size=1, max_size=4), label="bytes")[: len(blob) - at]
+            blob[at : at + len(new)] = new
+        path.write_bytes(blob)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["inspect", str(path)])
+        if code == 0:
+            assert json.loads(out.getvalue())["kind"] in ("model", "dataset")
+        else:
+            assert code == 3, err.getvalue()
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 class TestComparisons:

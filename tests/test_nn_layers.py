@@ -274,13 +274,17 @@ class TestDense:
 
 
 # (batch, steps, stride): the streaming pass computes its input products
-# in chunks of layers.STREAM_CHUNK = 64 steps
+# in chunks of layers.STREAM_CHUNK = 64 steps, and the training pass keeps
+# one cell state per chunk, from which the backward recomputes the others
 LSTM_SHAPES = {
     "contiguous": (5, 64, 1),  # exactly one chunk
     "strided": (5, 64, 3),
     "short": (5, 20, 1),  # shorter than one chunk
     "chunks": (5, 150, 1),  # two full chunks and a partial one
     "single-row": (1, 150, 1),
+    "one-step": (5, 1, 1),
+    "past-a-chunk": (5, 65, 1),  # one step into a second chunk
+    "two-chunks": (5, 128, 1),  # exactly two chunks
 }
 
 # gate values of units 0 and 1 under each sigmoid edge case: (i, f, o) for
@@ -312,17 +316,43 @@ class TestLstm:
         assert h[0, 0] == pytest.approx(0.09085193946699145, rel=1e-14)
 
     def test_training_cache_keeps_no_hidden_states(self):
-        # the backward recomputes h from the cells and the output gates
-        b, t_steps, units = 3, 9, 5
+        # the backward recomputes h from the cells and the output gates, and
+        # the cells from the one kept per layers.STREAM_CHUNK = 64 steps
+        b, t_steps, units = 3, 130, 5
         rng = np.random.default_rng(4)
         x = rng.normal(size=(b, t_steps, 2))
-        _, cache = layers.lstm_forward(x, rng.normal(size=(2, 4 * units)),
+        h, cache = layers.lstm_forward(x, rng.normal(size=(2, 4 * units)),
                                        rng.normal(size=(units, 4 * units)),
                                        np.zeros(4 * units))
         assert len(cache) == 5
         assert cache[0] is x
-        long = [a.shape for a in cache[1:] if a.ndim == 3 and a.shape[0] >= t_steps]
-        assert long == [(t_steps, b, 4 * units), (t_steps + 1, b, units)]
+        gates, kept = cache[3:]
+        assert [a.shape for a in cache[1:] if a.ndim == 3] == [
+            (t_steps, b, 4 * units), (4, b, units)]  # cells after 0, 64, 128 and 130 steps
+        assert np.all(kept[0] == 0.0)
+        assert_same_bytes(np.tanh(kept[-1]) * gates[-1][:, 3 * units :], h, "h")
+
+    def test_training_pass_keeps_no_cell_stash(self):
+        # the cells recomputed per chunk take the place of the [T + 1, B, l]
+        # cells the training pass used to keep; as in the model, the input
+        # gradient is written over the input
+        b, t_steps, d, units = 4, 1000, 3, 32
+        rng = np.random.default_rng(7)
+        w_in = rng.uniform(-0.6, 0.6, size=(d, 4 * units))
+        w_rec = rng.uniform(-0.6, 0.6, size=(units, 4 * units))
+        bias = rng.normal(scale=0.3, size=4 * units)
+        grad_h = rng.normal(size=(b, units))
+        tracemalloc.start()
+        try:
+            x = rng.normal(size=(b, t_steps, d))
+            _, cache = layers.lstm_forward(x, w_in, w_rec, bias)
+            layers.lstm_backward(cache, grad_h, d_x=cache[0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        gate_bytes = t_steps * b * 4 * units * 8
+        cell_stash_bytes = (t_steps + 1) * b * units * 8
+        assert peak < gate_bytes + x.nbytes + cell_stash_bytes / 4
 
     def test_final_state_matches_manual_recurrence(self):
         rng = np.random.default_rng(3)
@@ -446,8 +476,9 @@ class TestLstm:
             ref_h, ref_grads = self.reference_lstm(x, w_in, w_rec, bias, grad_h, plain)
             for name, a, want in zip(names, got, (ref_h, *ref_grads)):
                 assert a.shape == want.shape, name
-                rel = np.max(np.abs(a - want)) / np.max(np.abs(want))
-                assert rel < 1e-12, (name, rel)
+                # relative to the largest value; d_w_rec is all zeros at T = 1
+                err = np.max(np.abs(a - want))
+                assert err == 0.0 or err < 1e-12 * np.max(np.abs(want)), (name, err)
 
         # with the kernel's overflow-free sigmoid the loop gives the same bits,
         # which keeps recorded training curves reproducible
