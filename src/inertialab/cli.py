@@ -13,7 +13,10 @@ injection bus against the case's generator buses, and the model sizes
 against the data of a command that trains and ``compare-snr``'s noise
 levels against the dataset spec, before any command simulates or writes
 anything; ``eval`` also loads its checkpoint and predicts before it writes.
-The fully resolved configuration is echoed into the run manifest.  Exit
+The fully resolved configuration is echoed into the run manifest.
+``main`` pins the OpenBLAS bundled with numpy to one thread, so a product
+that BLAS would split over threads gives the same bits on any core count;
+the manifest's ``blas_pinned`` says whether the pin took.  Exit
 codes: 0 success, 2 I/O failure, 3 validation failure, 4 dataset length
 not the checkpoint's input length, 5 training divergence.
 """
@@ -23,6 +26,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import ctypes
+import functools
 import json
 import os
 import sys
@@ -441,6 +446,27 @@ def _check_snr_levels(spec, plan):
             raise ValueError(f"train.snr_levels level {level}: {exc}") from None
 
 
+@functools.cache
+def pin_blas_threads():
+    """Pin the OpenBLAS bundled with numpy to one thread; True if it took.
+
+    Some products, such as conv1's kernel gradient and the CNN's widest
+    dense layer, split their reductions over BLAS threads, so their bits
+    depend on the thread count.  One thread keeps one answer.  With no
+    bundled OpenBLAS (numpy built against another BLAS) nothing is pinned.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas64_*.so*")):
+        try:
+            set_threads = ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+        return True
+    return False
+
+
 def run_command(cfg, command):
     """Build (and so check) every run value, the run's one corpus builder too,
     then run one command under the output lock; write its manifest and summary."""
@@ -461,7 +487,7 @@ def run_command(cfg, command):
     with _output_dir(cfg) as out:
         extra, summary = _COMMANDS[command](out, cfg, *values, **early)
         manifest = {"config": cfg, "config_fingerprint": run_fingerprint(cfg),
-                    "command": command, **extra}
+                    "command": command, "blas_pinned": pin_blas_threads(), **extra}
         text = json.dumps(manifest, indent=2, sort_keys=True)
         (out / "manifest.json").write_text(text + "\n", encoding="utf-8")
         print(json.dumps({"command": command, "out": str(out), **summary}, sort_keys=True))
@@ -528,6 +554,7 @@ _EXIT_CODES = (
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    pin_blas_threads()
     try:
         cfg = resolve_config(args)
         if args.command == "inspect":

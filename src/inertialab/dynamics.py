@@ -25,8 +25,10 @@ state (theta, dw), each row with its own swing coefficients m and probe
 amplitude.  Its RK4 stages and work arrays are allocated once and written
 in place, yet every element sees a plain RK4 loop's operations in order,
 so the outputs keep their bits; :func:`swing_rhs` is its kernel on one row.
-It writes the samples straight into one caller-provided [row, channel,
-bus, sample] buffer, channels in :attr:`PmuRecordSet.CHANNELS` order.
+It holds the last ``SAMPLE_CHUNK`` samples' states and RoCoF rows and
+writes them, ``SAMPLE_CHUNK`` samples at a time, into one caller-provided
+[row, channel, bus, sample] buffer, channels in
+:attr:`PmuRecordSet.CHANNELS` order.
 :func:`integrate` runs it on a single row; the corpus builder runs it over
 blocks of whole inertia groups and reuses the buffer from block to block,
 so a record built on ``buffer[row]`` is a view valid until the next block.
@@ -51,6 +53,12 @@ __all__ = [
     "integrate",
     "single_machine_response",
 ]
+
+# PMU samples the integrator holds before it writes them into its output
+SAMPLE_CHUNK = 64
+
+# RK4 steps one run may take: over 100 times the 8,638 of the default SimConfig
+MAX_STEPS = 1_000_000
 
 
 class InstabilityError(RuntimeError):
@@ -120,8 +128,9 @@ class SimConfig:
     The integrator step must divide the PMU sample period exactly so that
     samples fall on step boundaries; the default is two steps per sample at
     2880 Hz.  ``t_end`` must cover at least 1.5 s so that both standard
-    feature windows can be extracted downstream, and its PMU sample count
-    must fit numpy's ``intp``, which sizes every array.
+    feature windows can be extracted downstream, and a run may take at most
+    ``MAX_STEPS`` RK4 steps, so a tiny step or a huge ``t_end`` fails here
+    rather than simulating for hours.
     """
 
     t_end: float = 1.5
@@ -137,9 +146,9 @@ class SimConfig:
         sps = 1.0 / self.pmu_rate / self.integrator_step  # steps per PMU sample
         if not 1 - 1e-9 <= sps < math.inf or abs(sps - round(sps)) > 1e-9:
             raise ValueError(f"sim integrator_step must divide the PMU period, got {sps} steps")
-        if not self.pmu_rate * self.t_end < math.inf or self.n_samples > np.iinfo(np.intp).max:
-            raise ValueError(f"sim t_end {self.t_end} s gives more PMU samples than numpy's "
-                             "intp can count")
+        if not self.pmu_rate * self.t_end < math.inf or self.n_steps > MAX_STEPS:
+            raise ValueError(f"sim integrator_step {self.integrator_step} s over t_end "
+                             f"{self.t_end} s takes more than {MAX_STEPS} RK4 steps")
 
     @property
     def steps_per_sample(self):
@@ -148,6 +157,11 @@ class SimConfig:
     @property
     def n_samples(self):
         return round(self.pmu_rate * self.t_end)
+
+    @property
+    def n_steps(self):
+        """RK4 steps of one run: from the first PMU sample to the last."""
+        return (self.n_samples - 1) * self.steps_per_sample
 
 
 @dataclass
@@ -185,23 +199,29 @@ class PmuRecordSet:
 
 def _swing_kernel(net, rows):
     """The swing right-hand side as ``rhs(y, drive, out)``, allocating nothing:
-    [2, rows, n] (theta, dw) to (theta_dot, dw_dot) under ``drive`` (p.u.)."""
+    the (theta, dw) pair ``y`` of [rows, n] arrays to the (theta_dot, dw_dot)
+    pair ``out`` under ``drive`` (p.u.)."""
     sc, prod = np.empty((2, 2, rows, net.n))  # [sin, cos], their products
-    (s, c), (p_elec, p_damp), swapped = sc, prod, prod[::-1]
+    (s, c), (p_elec, p_damp), cs = sc, prod, sc[::-1]
+    # local names and positional outputs spare each call an attribute lookup
+    # and numpy's keyword parsing, which an RK4 step pays 40 times
+    coupling, damping, inertia, sync_speed = net.coupling, net.damping, net.inertia, net.sync_speed
+    sin, cos, matmul, multiply, subtract, divide = (
+        np.sin, np.cos, np.matmul, np.multiply, np.subtract, np.divide)
 
-    def rhs(y, drive, out):
+    def rhs(y, drive, out):  # each ufunc's last argument is its output
         theta, dw = y
         theta_dot, dw_dot = out
-        np.sin(theta, out=s)
-        np.cos(theta, out=c)
-        np.matmul(sc, net.coupling, out=prod)  # [s @ B, c @ B]
-        np.multiply(sc, swapped, out=sc)  # [s * (c @ B), c * (s @ B)]
-        np.subtract(s, c, out=p_elec)
-        np.subtract(drive, p_elec, out=dw_dot)
-        np.multiply(net.damping, dw, out=p_damp)
-        np.subtract(dw_dot, p_damp, out=dw_dot)
-        np.divide(dw_dot, net.inertia, out=dw_dot)
-        np.multiply(net.sync_speed, dw, out=theta_dot)
+        sin(theta, s)
+        cos(theta, c)
+        matmul(cs, coupling, prod)  # [c @ B, s @ B]
+        multiply(sc, prod, sc)  # [s * (c @ B), c * (s @ B)]
+        subtract(s, c, p_elec)
+        subtract(drive, p_elec, dw_dot)
+        multiply(damping, dw, p_damp)
+        subtract(dw_dot, p_damp, dw_dot)
+        divide(dw_dot, inertia, dw_dot)
+        multiply(sync_speed, dw, theta_dot)
 
     return rhs
 
@@ -259,8 +279,10 @@ def _integrate_rows(net, probe, cfg, inertia, amplitudes, monitored, out):
     they ride through the RK4 loop together as one stacked state, with the
     drive formed once per waveform value.  ``out`` is a C-ordered float64
     buffer of shape [rows, 3, len(monitored), n_samples], channels in
-    :attr:`PmuRecordSet.CHANNELS` order; it is overwritten sample by
-    sample.  A row whose speed deviation exceeds 1 p.u. or is NaN raises
+    :attr:`PmuRecordSet.CHANNELS` order.  Each sample copies the state and
+    the RoCoF row into a time-major [SAMPLE_CHUNK, 3, rows, n] buffer, which
+    is written into ``out`` every ``SAMPLE_CHUNK`` samples and at the last
+    one.  A row whose speed deviation exceeds 1 p.u. or is NaN raises
     :class:`InstabilityError` at the first sample instant where any row
     does so, naming the row with the largest deviation at that instant.
     """
@@ -281,42 +303,66 @@ def _integrate_rows(net, probe, cfg, inertia, amplitudes, monitored, out):
             drives[u] = net.injections + u * inj
         return drives[u]
 
-    n_samples = cfg.n_samples
+    # per sample: theta, dw and dw_dot; written into out by flush
+    pending = np.empty((SAMPLE_CHUNK, 3, *inj.shape))
+    pending_y, pending_rocof = pending[:, :2], pending[:, 2]
+
+    def flush(j0, j1):
+        """Write samples j0..j1-1, held in pending[:j1 - j0], into out."""
+        chunk = pending[:j1 - j0, :, :, keep]  # [sample, (theta, dw, dw_dot), row, bus]
+        coi = (pending[:j1 - j0, 0] * inertia).sum(axis=2) / m_total  # center-of-inertia angle
+        np.subtract(chunk[:, 0], coi[:, :, None], out=chunk[:, 0])
+        out[:, :, :, j0:j1] = chunk[:, [1, 2, 0]].transpose(2, 1, 3, 0)
+
     sps = cfg.steps_per_sample
     steps_hz = float(cfg.pmu_rate * sps)
-    total_steps = (n_samples - 1) * sps
+    total_steps = cfg.n_steps
 
-    y = np.zeros((2, *inj.shape))
-    theta, dw = y
-    k1, k2, k3, k4 = k = np.empty((4, *y.shape))
-    stage = np.empty_like(y)  # the stage state, then the RK4 increment
+    y, stage = np.zeros((2, 2, *inj.shape))  # stage: the stage state, then the RK4 increment
+    k = np.empty((4, *y.shape))
+    k1, k2, k3, k4 = k
+    k23 = k[1:3]
+    # (theta, dw) views, split once: rhs unpacks a tuple faster than an array
+    y_views, stage_views = tuple(y), tuple(stage)
+    k1_views, k2_views, k3_views, k4_views = (tuple(ki) for ki in k)
+    dw = y[1]
 
     h = 1.0 / steps_hz
-    stages = ((k1, k2, 0.5 * h), (k2, k3, 0.5 * h), (k3, k4, h))
+    half, h6 = 0.5 * h, h / 6.0
+    abs_dw = np.empty_like(dw)
+    multiply, add, copyto = np.multiply, np.add, np.copyto
     for step in range(total_steps + 1):
         t = step / steps_hz
-        rhs(y, drive(t), k1)
+        rhs(y_views, drive(t), k1_views)
         if step % sps == 0:
             j = step // sps
-            if not (np.abs(dw).max() <= 1.0):  # a NaN deviation fails too
-                raise InstabilityError(t, int(np.argmax(np.abs(dw).max(axis=1))))
-            out[:, 0, :, j] = dw[:, keep]
-            out[:, 1, :, j] = k1[1][:, keep]
-            coi = (theta * inertia).sum(axis=1) / m_total  # center-of-inertia angle
-            out[:, 2, :, j] = theta[:, keep] - coi[:, None]
+            if not (np.abs(dw, abs_dw).max() <= 1.0):  # a NaN deviation fails too
+                raise InstabilityError(t, int(np.argmax(abs_dw.max(axis=1))))
+            i = j % SAMPLE_CHUNK
+            copyto(pending_y[i], y)
+            copyto(pending_rocof[i], k1[1])
+            if i == SAMPLE_CHUNK - 1 or step == total_steps:
+                flush(j - i, j + 1)
         if step == total_steps:
             break
-        for k_in, k_out, dt in stages:  # k_out at t + dt, y + dt * k_in
-            np.multiply(dt, k_in, out=stage)
-            np.add(y, stage, out=stage)
-            rhs(stage, drive(t + dt), k_out)
+        # stage k at t + dt from y + dt * k_prev; the midpoints share one drive
+        mid = drive(t + half)
+        multiply(half, k1, stage)
+        add(y, stage, stage)
+        rhs(stage_views, mid, k2_views)
+        multiply(half, k2, stage)
+        add(y, stage, stage)
+        rhs(stage_views, mid, k3_views)
+        multiply(h, k3, stage)
+        add(y, stage, stage)
+        rhs(stage_views, drive(t + h), k4_views)
         # y += (h / 6) * (((k1 + 2 k2) + 2 k3) + k4)
-        np.multiply(2.0, k[1:3], out=k[1:3])
-        np.add(k1, k2, out=stage)
-        np.add(stage, k3, out=stage)
-        np.add(stage, k4, out=stage)
-        np.multiply(h / 6.0, stage, out=stage)
-        np.add(y, stage, out=y)
+        multiply(2.0, k23, k23)
+        add(k1, k2, stage)
+        add(stage, k3, stage)
+        add(stage, k4, stage)
+        multiply(h6, stage, stage)
+        add(y, stage, y)
 
 
 def integrate(net, probe, cfg, monitored=None, h_sys=float("nan")):

@@ -382,9 +382,11 @@ class TestTrainEval:
         *(("gen-data", assignment, key) for assignment, key in BAD_DATASET_VALUES),
         ("eval", "dataset.target_rate=0", "target_rate"),  # eval without --data simulates
         # values that used to fail only inside the command, after the output
-        # directory was made: a sample count beyond numpy's intp, a finite
+        # directory was made: a run of more RK4 steps than MAX_STEPS, a finite
         # study SNR level over a zero amplitude and no SNR level at all
         ("gen-data", "dataset.sim.t_end=1e300", "t_end"),
+        # a step that divides the PMU period but asks for 4.3e9 RK4 steps
+        ("gen-data", "dataset.sim.integrator_step=3.4722222222222225e-10", "integrator_step"),
         ("compare-snr", 'dataset={"snr_db":Infinity,"amplitudes":[0.0,0.001]}',
          "train.snr_levels"),
         ("compare-snr", "train.snr_levels=[]", "train.snr_levels"),
@@ -565,6 +567,56 @@ class TestTrainEval:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "non-finite values entering relu at epoch 1, batch 2" in err
 
+
+# Two B = 32 SGD steps of each default-size model after the one-thread BLAS
+# pin: SHA-256 over predictions, losses, gradients and updated parameters
+TWO_STEP_DIGEST = """
+import hashlib
+import numpy as np
+from inertialab.cli import pin_blas_threads
+from inertialab.nn.model import LrcnConfig, make_model
+
+if not pin_blas_threads():
+    raise SystemExit("unpinned")
+rng = np.random.default_rng(0)
+digest = hashlib.sha256()
+for arch in ("lrcn", "cnn"):
+    model = make_model(arch, LrcnConfig())
+    for _ in range(2):
+        pred, loss, grads = model.forward_backward(rng.normal(size=(32, 4000)),
+                                                   rng.normal(size=32))
+        model.apply_gradients(grads, 0.02)
+        digest.update(pred.tobytes() + np.float64(loss).tobytes())
+        for name in sorted(grads):
+            digest.update(grads[name].tobytes())
+    for name in sorted(model.params):
+        digest.update(model.params[name].tobytes())
+print(digest.hexdigest())
+"""
+
+
+class TestBlasPin:
+    def test_pinned_bits_do_not_depend_on_the_thread_count(self):
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("one core: a second BLAS thread would share it, so nothing to compare")
+        src = str(Path(experiments.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+            proc = subprocess.run([sys.executable, "-c", TWO_STEP_DIGEST], capture_output=True,
+                                  text=True, env=env, timeout=600)
+            if proc.stderr == "unpinned\n":
+                pytest.skip("numpy bundles no OpenBLAS to pin")
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout)
+        assert digests[0] == digests[1]
+
+    def test_manifest_records_the_pin(self, tiny_case, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(gen_args(tiny_case, out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["blas_pinned"] is cli.pin_blas_threads()
 
 # Patches that make a tiny-case INRDSET1 header inconsistent: (offset,
 # struct format, value, field the error names).  The header follows the

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from inertialab.dynamics import (
+    MAX_STEPS,
     InstabilityError,
     PmuRecordSet,
     ProbingSignal,
@@ -433,6 +434,34 @@ class TestIntegratorMatchesReference:
         assert errors[0] == errors[1]
         assert errors[0][1] == 2 and 0.0 < errors[0][0] < 1.5
 
+    # 60 samples: one partial chunk of SAMPLE_CHUNK = 64; 128: exactly two
+    CHUNK_EDGES = {60: SimConfig(pmu_rate=40.0), 128: SimConfig(t_end=1.6, pmu_rate=80.0)}
+
+    @pytest.mark.parametrize("n_samples", [60, 128])
+    @pytest.mark.parametrize("kind", ["step", "prbs"])
+    def test_chunk_edges(self, kind, n_samples):
+        cfg = self.CHUNK_EDGES[n_samples]
+        assert cfg.n_samples == n_samples
+        net, inertia, amplitudes = self.block((3.0, 6.0), (0.001, 0.02))
+        out = np.full((len(inertia), 3, len(net.buses), n_samples), np.nan)
+        _integrate_rows(net, self.PROBES[kind], cfg, inertia, amplitudes, net.buses, out)
+        ref = reference_rows(net, self.PROBES[kind], cfg, inertia, amplitudes, net.buses)
+        assert_same_bits(out, ref)
+
+    def test_unstable_row_in_the_second_chunk(self):
+        cfg = self.CHUNK_EDGES[128]
+        net = single_machine_net(m=8.0, d=0.01)
+        inertia = np.array([[8.0], [2.1], [1.9], [8.0]])  # rows 1 and 2 pass 1 p.u. near 1 s
+        amplitudes = [2.0] * 4
+        probe = ProbingSignal(amplitude=2.0, injection_bus=1, duration=2.0)
+        errors = []
+        for run in (_integrate_rows, lambda *args: reference_rows(*args[:-1])):
+            with pytest.raises(InstabilityError) as err:
+                run(net, probe, cfg, inertia, amplitudes, (1,), np.empty((4, 3, 1, 128)))
+            errors.append((err.value.time, err.value.trajectory))
+        assert errors[0] == errors[1]
+        assert errors[0][1] == 2 and 64 / 80.0 < errors[0][0] < 1.6
+
 
 class TestPmuRecordSet:
     @pytest.mark.parametrize("shape", [(2, 2, 5), (3, 3, 5), (3, 5)])
@@ -456,3 +485,13 @@ class TestSimConfig:
 
     def test_sample_count(self):
         assert SimConfig(t_end=1.5).n_samples == 4320
+
+    def test_steps_per_run_are_bounded(self):
+        assert SimConfig().n_steps == 8638
+        # 1/2.88e9 divides the PMU period exactly: 4.3e9 steps per run
+        with pytest.raises(ValueError, match="sim integrator_step .* more than 1000000 RK4 steps"):
+            SimConfig(integrator_step=1.0 / 2.88e9)
+        # the bound holds over 100 times the default run, and binds t_end too
+        assert SimConfig(t_end=150.0).n_steps == 863_998 <= MAX_STEPS
+        with pytest.raises(ValueError, match="t_end 200.0 s"):
+            SimConfig(t_end=200.0)
