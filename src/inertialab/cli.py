@@ -3,7 +3,9 @@
 Subcommands: ``gen-data``, ``train``, ``eval``, ``select-features``,
 ``compare-windows``, ``compare-models``, ``compare-snr``, ``inspect``.
 Configuration is layered: profile defaults, then an optional JSON config
-file, then repeatable ``--set key=value`` overrides.  The ``dataset``,
+file, then repeatable ``--set key=value`` overrides.  The profile itself is
+resolved first by the same precedence, with ``--profile`` last, and both the
+defaults and the echoed ``profile`` take that one value.  The ``dataset``,
 ``model`` and ``train`` defaults are the field defaults of ``DatasetSpec``,
 ``LrcnConfig`` and ``TrainPlan``; a profile changes only a few of them.
 The config file and ``--set`` pass one check: every key must exist, a
@@ -54,7 +56,7 @@ from .experiments import (
     train_arms,
     wrapper_feature_selection,
 )
-from .grid import load_case, load_default_case
+from .grid import DEFAULT_CASE, load_case, load_default_case
 from .nn.model import (
     MODEL_MAGIC,
     LrcnConfig,
@@ -103,8 +105,8 @@ def _group(obj):
 
 
 def _profile_defaults(profile):
-    if profile not in _PROFILE_DELTAS:
-        raise ValueError(f"unknown profile {profile!r}")
+    if profile not in tuple(_PROFILE_DELTAS):  # a tuple: no hashing of odd values
+        raise ValueError(f"profile must be one of {', '.join(_PROFILE_DELTAS)}, got {profile!r}")
     spec = DatasetSpec()
     cfg = {
         "profile": profile,
@@ -175,11 +177,14 @@ def resolve_config(args):
         for part in reversed(key.split(".")):
             value = {part: value}
         layers.append(value)
-    profile = args.profile or (layers[0].get("profile") if args.config else None)
-    defaults = _profile_defaults(profile or "desk")
+    # the profile takes the precedence of any key: the file, then --set, then the flag
+    given = [layer["profile"] for layer in layers if "profile" in layer]
+    profile = args.profile or (given[-1] if given else "desk")
+    defaults = _profile_defaults(profile)
     cfg = copy.deepcopy(defaults)
     for layer in layers:
         _override(cfg, defaults, layer)
+    cfg["profile"] = profile
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.out is not None:
@@ -247,7 +252,7 @@ def _gen_data(out, cfg, data, builder, config, plan):
     dataset = builder.build()
     blob = dataset.to_bytes()
     (out / "dataset.bin").write_bytes(blob)
-    case_text = Path(cfg["case"]).read_bytes() if cfg["case"] else b"<bundled ieee24.case>"
+    case_text = Path(cfg["case"]).read_bytes() if cfg["case"] else DEFAULT_CASE.read_bytes()
     summary = {"samples": len(dataset), "dataset_sha256": sha256_hex(blob)}
     extra = {"tensor_length": dataset.tensor_length, "grid_sha256": sha256_hex(case_text)}
     return {**summary, **extra}, summary

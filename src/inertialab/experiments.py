@@ -29,7 +29,7 @@ from .dynamics import (
 )
 from .grid import build_reduced_network, scale_to_target_inertia
 from .nn import layers
-from .nn.model import make_model
+from .nn.model import _ARCHS, make_model
 from .nn.schedule import ReduceLrOnPlateau
 from .signals import (
     Dataset,
@@ -137,6 +137,8 @@ class DatasetSpec:
         for name in ("h_values", "amplitudes"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
+        if not all(0 < h < math.inf for h in self.h_values):  # NaN fails too
+            raise ValueError(f"h_values must be finite and > 0, got {list(self.h_values)}")
         if not all(0 <= a < math.inf for a in self.amplitudes):  # NaN fails too
             raise ValueError(f"amplitudes must be finite and >= 0, got {list(self.amplitudes)}")
         if not -math.inf < self.snr_db <= math.inf:  # +inf turns noise off; NaN fails
@@ -519,6 +521,8 @@ class TrainPlan:
     cnn_learning_rate: float = CNN_BASELINE_LR
 
     def __post_init__(self):
+        if self.arch not in tuple(_ARCHS):  # a tuple: no hashing of odd values
+            raise ValueError(f"arch must be one of {', '.join(_ARCHS)}, got {self.arch!r}")
         if not 0.0 < self.train_fraction < 1.0:  # NaN fails too
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         for name in ("epochs", "split_seed", "train_seed"):

@@ -438,7 +438,10 @@ def load_case(path):
         return _parse_case_text(fh.read())
 
 
+# The bundled 24-bus study case (38 branches, 38 units, 10 PMU buses).
+DEFAULT_CASE = resources.files("inertialab.cases").joinpath("ieee24.case")
+
+
 def load_default_case():
-    """The bundled 24-bus study case (38 branches, 38 units, 10 PMU buses)."""
-    ref = resources.files("inertialab.cases").joinpath("ieee24.case")
-    return _parse_case_text(ref.read_text(encoding="utf-8"))
+    """The bundled case, parsed and validated."""
+    return _parse_case_text(DEFAULT_CASE.read_text(encoding="utf-8"))
