@@ -27,6 +27,7 @@ from .grid import (
     inertia_constant,
     load_case,
     load_default_case,
+    parse_case,
     rotational_energy,
     scale_to_target_inertia,
     system_inertia_constant,

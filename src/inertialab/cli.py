@@ -14,7 +14,9 @@ kind.  Every value is then checked by the dataclass it builds, the probe's
 injection bus against the case's generator buses, and the model sizes
 against the data of a command that trains and ``compare-snr``'s noise
 levels against the dataset spec, before any command simulates or writes
-anything; ``eval`` also loads its checkpoint and predicts before it writes.
+anything.  The run's one corpus is then loaded or built, and ``eval``
+predicts on it, before the output directory is taken, so a simulation or
+conditioning failure writes nothing either.
 The fully resolved configuration is echoed into the run manifest.
 ``main`` pins the OpenBLAS bundled with numpy to one thread, so a product
 that BLAS would split over threads gives the same bits on any core count;
@@ -56,15 +58,16 @@ from .experiments import (
     train_arms,
     wrapper_feature_selection,
 )
-from .grid import DEFAULT_CASE, load_case, load_default_case
+from .grid import DEFAULT_CASE, parse_case
 from .nn.model import (
+    _ARCHS,
     MODEL_MAGIC,
     LrcnConfig,
     fits_json_kind,
     load_model,
     read_checkpoint,
 )
-from .signals import DATASET_MAGIC, Dataset
+from .signals import DATASET_MAGIC, Dataset, Feature, window_samples
 
 EXIT_IO = 2
 EXIT_VALIDATION = 3
@@ -92,6 +95,10 @@ _METRIC_COLUMNS = ("accuracy", "r2", "mse")
 
 # The two feature windows the window study compares, in seconds.
 _WINDOWS = ((0.0, 1.0), (0.5, 1.5))
+
+# Values a model's parameters, or one array of its training pass, may hold:
+# 16 times the paper profile's largest, the LRCN's 16.4 M-value gate cache
+MAX_MODEL_VALUES = 1 << 28
 
 
 def _group(obj):
@@ -240,21 +247,10 @@ def _curve(values):
     return list(range(1, len(values) + 1)), list(values)
 
 
-def _load_or_generate_dataset(data, builder, out):
-    if data is not None:
-        return data
-    dataset = builder.build()
-    dataset.save(out / "dataset.bin")
-    return dataset
-
-
-def _gen_data(out, cfg, data, builder, config, plan):
-    dataset = builder.build()
-    blob = dataset.to_bytes()
-    (out / "dataset.bin").write_bytes(blob)
-    case_text = Path(cfg["case"]).read_bytes() if cfg["case"] else DEFAULT_CASE.read_bytes()
+def _gen_data(out, cfg, dataset, builder, config, plan, case):
+    blob = (out / "dataset.bin").read_bytes()  # as run_command saved it
     summary = {"samples": len(dataset), "dataset_sha256": sha256_hex(blob)}
-    extra = {"tensor_length": dataset.tensor_length, "grid_sha256": sha256_hex(case_text)}
+    extra = {"tensor_length": dataset.tensor_length, "grid_sha256": sha256_hex(case)}
     return {**summary, **extra}, summary
 
 
@@ -262,18 +258,13 @@ def _write_evaluation(out, stamp, arch, labels, predictions, metrics):
     """Estimate-versus-label scatter (CSV and SVG) and the metrics CSV."""
     plots.write_csv(out / "scatter.csv", ("actual", "predicted"), zip(labels, predictions),
                     comment=stamp)
-    plots.write_scatter_svg(
-        out / "scatter.svg", labels, predictions,
-        title="inertia estimate vs label", comment=stamp,
-    )
-    plots.write_csv(
-        out / "metrics.csv", ("model", *_METRIC_COLUMNS),
-        [(arch, *_cells(metrics))], comment=stamp,
-    )
+    plots.write_scatter_svg(out / "scatter.svg", labels, predictions,
+                            title="inertia estimate vs label", comment=stamp)
+    plots.write_csv(out / "metrics.csv", ("model", *_METRIC_COLUMNS), [(arch, *_cells(metrics))],
+                    comment=stamp)
 
 
-def _train(out, cfg, data, builder, config, plan):
-    dataset = _load_or_generate_dataset(data, builder, out)
+def _train(out, cfg, dataset, builder, config, plan):
     model, report, val_set = plan.fit(config, dataset)
     model.save(out / "model.bin")
     stamp = _stamp(cfg)
@@ -285,44 +276,39 @@ def _train(out, cfg, data, builder, config, plan):
         {"train": _curve(report.train_curve), "validation": _curve(report.val_curve)},
         title="MSE loss vs epoch", xlabel="epoch", ylabel="mse", comment=stamp,
     )
-    _write_evaluation(
-        out, stamp, plan.arch, val_set.labels, report.val_predictions, report.metrics
-    )
+    _write_evaluation(out, stamp, plan.arch, val_set.labels, report.val_predictions,
+                      report.metrics)
     metrics = vars(report.metrics)
-    return (
-        {"epochs": report.epochs, "best_epoch": report.best_epoch, "metrics": metrics},
-        {"best_epoch": report.best_epoch, **metrics},
-    )
+    return ({"epochs": report.epochs, "best_epoch": report.best_epoch, "metrics": metrics},
+            {"best_epoch": report.best_epoch, **metrics})
+
+
+def _load_checkpoint(cfg):
+    if not cfg["paths"]["model"]:
+        raise ValueError("eval requires a model checkpoint (--model or paths.model)")
+    return load_model(cfg["paths"]["model"])
 
 
 # Overflow is caught where it matters: check_finite turns a non-finite value
 # entering a layer into FloatingPointError, so numpy's warnings are noise.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _evaluate(cfg, data, builder, plan):
+def _evaluate(cfg, model, dataset, plan):
     """What ``eval`` writes, computed before it takes the output directory: a
-    checkpoint that fails to load, or whose forward pass turns non-finite,
-    leaves nothing behind.  Returns the architecture, the dataset, the
-    validation labels and the predictions."""
-    model_path = cfg["paths"]["model"]
-    if not model_path:
-        raise ValueError("eval requires a model checkpoint (--model or paths.model)")
-    model = load_model(model_path)
-    dataset = builder.build() if data is None else data
+    checkpoint whose forward pass turns non-finite leaves nothing behind.
+    Returns the architecture, the validation labels and the predictions."""
     _, val_set = split(dataset, plan.train_fraction, plan.split_seed)
     try:
         predictions = predict(model, val_set)
     except FloatingPointError as exc:  # check_finite names the layer
-        raise ValueError(f"checkpoint {model_path}: {exc} in eval") from None
+        raise ValueError(f"checkpoint {cfg['paths']['model']}: {exc} in eval") from None
     if not np.isfinite(predictions).all():
-        raise ValueError(f"checkpoint {model_path}: non-finite values leaving the out layer "
-                         "in eval")
-    return model.arch, dataset, val_set.labels, predictions
+        raise ValueError(f"checkpoint {cfg['paths']['model']}: non-finite values leaving "
+                         "the out layer in eval")
+    return model.arch, val_set.labels, predictions
 
 
-def _eval(out, cfg, data, builder, config, plan, evaluation):
-    arch, dataset, labels, predictions = evaluation
-    if data is None:
-        dataset.save(out / "dataset.bin")
+def _eval(out, cfg, dataset, builder, config, plan, evaluation):
+    arch, labels, predictions = evaluation
     metrics = metrics_from_predictions(labels, predictions)
     _write_evaluation(out, _stamp(cfg), arch, labels, predictions, metrics)
     return {"metrics": vars(metrics)}, {"samples": len(labels), **vars(metrics)}
@@ -330,32 +316,23 @@ def _eval(out, cfg, data, builder, config, plan, evaluation):
 
 def _write_arms(out, stamp, name, column, arms, report_prefix, title):
     """Metrics CSV, validation-curve SVG and one report per study arm."""
-    plots.write_csv(
-        out / f"{name}.csv", (column, *_METRIC_COLUMNS),
-        [(label, *_cells(r.metrics)) for label, r in arms.items()], comment=stamp,
-    )
+    plots.write_csv(out / f"{name}.csv", (column, *_METRIC_COLUMNS),
+                    [(label, *_cells(r.metrics)) for label, r in arms.items()], comment=stamp)
     series = {}
     for label, report in arms.items():
         series[f"val {label}"] = _curve(report.val_curve)
         report.save(out / f"{report_prefix}{label}.txt", stamp)
-    plots.write_line_svg(
-        out / f"{name}.svg", series,
-        title=title, xlabel="epoch", ylabel="mse", comment=stamp,
-    )
+    plots.write_line_svg(out / f"{name}.svg", series, title=title, xlabel="epoch", ylabel="mse",
+                         comment=stamp)
 
 
-def _select_features(out, cfg, data, builder, config, plan):
+def _select_features(out, cfg, dataset, builder, config, plan):
     scorer = SubsetScorer(builder, config, plan)
     result = wrapper_feature_selection(scorer)
     stamp = _stamp(cfg)
-    rows = [
-        (round_no, name, value)
-        for round_no, scores in enumerate(result.rounds, start=1)
-        for name, value in scores.items()
-    ]
-    plots.write_csv(
-        out / "selection.csv", ("round", "candidate", "acc10"), rows, comment=stamp
-    )
+    rows = [(round_no, name, value) for round_no, scores in enumerate(result.rounds, start=1)
+            for name, value in scores.items()]
+    plots.write_csv(out / "selection.csv", ("round", "candidate", "acc10"), rows, comment=stamp)
     series = {}
     for round_no, name, value in rows:
         rounds, values = series.setdefault(name, ([], []))
@@ -369,7 +346,7 @@ def _select_features(out, cfg, data, builder, config, plan):
     return {"selected": list(names)}, {"selected": "+".join(names)}
 
 
-def _compare_windows(out, cfg, data, builder, config, plan):
+def _compare_windows(out, cfg, dataset, builder, config, plan):
     datasets = ((f"{w[0]}-{w[1]}", builder.build(window=w)) for w in _WINDOWS)
     arms = {label: r for label, _, r in train_arms(plan, config, datasets, (plan.arch,))}
     _write_arms(out, _stamp(cfg), "window_comparison", "window", arms, "report_window_",
@@ -378,8 +355,7 @@ def _compare_windows(out, cfg, data, builder, config, plan):
     return {"clean_fingerprint": builder.clean_fingerprint()}, {"acc10": acc10}
 
 
-def _compare_models(out, cfg, data, builder, config, plan):
-    dataset = builder.build()
+def _compare_models(out, cfg, dataset, builder, config, plan):
     fingerprint = sha256_hex(dataset.to_bytes())
     arms = {arch: r for _, arch, r in train_arms(plan, config, [("", dataset)], ("lrcn", "cnn"))}
     _write_arms(out, _stamp(cfg), "model_comparison", "model", arms, "report_",
@@ -388,7 +364,7 @@ def _compare_models(out, cfg, data, builder, config, plan):
     return {"dataset_fingerprint": fingerprint}, {"r2": r2}
 
 
-def _compare_snr(out, cfg, data, builder, config, plan):
+def _compare_snr(out, cfg, dataset, builder, config, plan):
     datasets = ((snr, builder.build(snr_db=snr)) for snr in plan.snr_levels)
     rows = [(snr, arch, *_cells(r.metrics)) for snr, arch, r in
             train_arms(plan, config, datasets, ("lrcn", "cnn"))]
@@ -412,18 +388,20 @@ _COMMANDS = {
 
 
 def _check_model_fits(command, data, builder, config, plan):
-    """Check the split (alone for ``eval``) and the model sizes against the smallest
-    dataset ``command`` splits: ``data`` when ``--data`` loaded it, else features x
-    monitored buses x window samples, at one feature for ``select-features`` and
-    at the shorter window for ``compare-windows``."""
+    """Check the split (alone for ``eval``) and the model sizes against the
+    datasets ``command`` splits: ``data`` when ``--data`` loaded it, else
+    features x monitored buses x window samples, at one to every feature for
+    ``select-features`` and at each window for ``compare-windows``.  The
+    kernel must fit the shortest tensors, and every architecture the command
+    trains must stay within ``MAX_MODEL_VALUES`` at the longest."""
     if data is not None:
-        length, n_samples = data.tensor_length, len(data)
+        lengths, n_samples = (data.tensor_length,), len(data)
     else:
         spec = builder.spec
-        n_features = 1 if command == "select-features" else len(spec.features)
+        n_features = (1, len(Feature)) if command == "select-features" else (len(spec.features),)
         windows = _WINDOWS if command == "compare-windows" else (spec.window,)
-        span = min(stop - start for start, stop in windows)
-        length = n_features * len(builder.grid.monitored_buses) * round(spec.target_rate * span)
+        lengths = [n * len(builder.grid.monitored_buses) * window_samples(spec.target_rate, *w)
+                   for n in n_features for w in windows]
         n_samples = spec.n_samples
     n_train = round(plan.train_fraction * n_samples)
     if not 0 < n_train < n_samples:
@@ -431,12 +409,20 @@ def _check_model_fits(command, data, builder, config, plan):
                          f"or validation split of the {n_samples} samples of the {command} data")
     if command == "eval":
         return
-    if config.kernel_size > length:
+    if config.kernel_size > min(lengths):
         raise ValueError(f"model.kernel_size {config.kernel_size} exceeds the "
-                         f"tensor length {length} of the {command} data")
+                         f"tensor length {min(lengths)} of the {command} data")
     if n_train < config.batch_size:
         raise ValueError(f"model.batch_size {config.batch_size} exceeds the "
                          f"{n_train} training samples of the {command} data")
+    archs = ("lrcn", "cnn") if command in ("compare-models", "compare-snr") else (plan.arch,)
+    for arch in archs:
+        for what, n in _ARCHS[arch].pass_sizes(replace(config, input_len=max(lengths))).items():
+            if n > MAX_MODEL_VALUES:
+                raise ValueError(
+                    f"the {arch} {what} would hold {n} values at tensor length {max(lengths)}, "
+                    f"over {MAX_MODEL_VALUES}; see model.conv1_channels, conv2_channels, "
+                    "kernel_size, lstm_units, head_sizes, batch_size and sequence_stride")
 
 
 def _check_snr_levels(spec, plan):
@@ -473,24 +459,36 @@ def pin_blas_threads():
 
 
 def run_command(cfg, command):
-    """Build (and so check) every run value, the run's one corpus builder too,
-    then run one command under the output lock; write its manifest and summary."""
-    grid = load_case(cfg["case"]) if cfg["case"] else load_default_case()
+    """Build (and so check) every run value and the run's one corpus, then run
+    one command under the output lock; write its manifest and summary.
+
+    The grid is parsed from the one read of the case file, whose bytes
+    ``gen-data`` hashes.  The checks that need no simulation come first, then
+    the corpus (``--data``, else the default build, whose clean records the
+    studies reuse) and ``eval``'s predictions, all before the output
+    directory is taken: a run that fails on its inputs writes nothing."""
+    case = Path(cfg["case"]).read_bytes() if cfg["case"] else DEFAULT_CASE.read_bytes()
+    grid = parse_case(case)
     d = cfg["dataset"]
     spec = DatasetSpec(**{**d, "probe": ProbingSignal(**d["probe"]), "sim": SimConfig(**d["sim"])})
     builder = DatasetBuilder(grid, spec)
     path = cfg["paths"]["dataset"] if command in ("train", "eval") else None
-    # the one read of a --data file, before the output directory is taken
-    data = Dataset.load(path) if path else None
+    data = Dataset.load(path) if path else None  # the one read of a --data file
     plan = TrainPlan(**cfg["train"])
-    values = (data, builder, LrcnConfig(**cfg["model"]), plan)
+    values = (builder, LrcnConfig(**cfg["model"]), plan)
     if command != "gen-data":
-        _check_model_fits(command, *values)
+        _check_model_fits(command, data, *values)
     if command == "compare-snr":
         _check_snr_levels(spec, plan)
-    early = {"evaluation": _evaluate(cfg, data, builder, plan)} if command == "eval" else {}
+    model = _load_checkpoint(cfg) if command == "eval" else None
+    dataset = builder.build() if data is None else data
+    early = {"case": case} if command == "gen-data" else {}
+    if command == "eval":
+        early = {"evaluation": _evaluate(cfg, model, dataset, plan)}
     with _output_dir(cfg) as out:
-        extra, summary = _COMMANDS[command](out, cfg, *values, **early)
+        if data is None and command in ("gen-data", "train", "eval"):  # a corpus it built
+            dataset.save(out / "dataset.bin")
+        extra, summary = _COMMANDS[command](out, cfg, dataset, *values, **early)
         manifest = {"config": cfg, "config_fingerprint": run_fingerprint(cfg),
                     "command": command, "blas_pinned": pin_blas_threads(), **extra}
         text = json.dumps(manifest, indent=2, sort_keys=True)

@@ -76,8 +76,9 @@ class ProbingSignal:
 
     ``kind`` is ``"step_pulse"`` (rectangular pulse of height ``amplitude``)
     or ``"prbs"`` (seeded pseudo-random +/-amplitude chips of ``prbs_chip``
-    seconds).  The signal is active on ``[start, start + duration)`` and zero
-    elsewhere.  Amplitude is in p.u. on the system base.
+    seconds, at most ``MAX_STEPS`` of them).  The signal is active on
+    ``[start, start + duration)`` and zero elsewhere.  Amplitude is in p.u.
+    on the system base.
     """
 
     kind: str = "step_pulse"
@@ -97,6 +98,9 @@ class ProbingSignal:
         for name in ("duration", "prbs_chip"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"probe {name} must be finite and > 0, got {getattr(self, name)}")
+        if self.kind == "prbs" and self.duration / self.prbs_chip > MAX_STEPS:
+            raise ValueError(f"probe prbs_chip {self.prbs_chip} s over duration {self.duration} s "
+                             f"draws more than {MAX_STEPS} chips")
         object.__setattr__(self, "seed", integer_at_least("probe seed", self.seed, 0))
         if self.injection_bus is not None:
             object.__setattr__(self, "injection_bus", integer_at_least(
@@ -270,6 +274,9 @@ def _injection_row(net, probe):
     return row
 
 
+# A value that overflows or turns NaN fails the per-sample stability check,
+# so numpy's warnings are noise.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _integrate_rows(net, probe, cfg, inertia, amplitudes, monitored, out):
     """Integrate one probe shape over many rows in lockstep, into ``out``.
 

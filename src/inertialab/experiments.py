@@ -41,6 +41,8 @@ from .signals import (
     compute_normalization,
     extract_window,
     resample_record,
+    resampled_length,
+    window_samples,
 )
 
 __all__ = [
@@ -134,6 +136,11 @@ class DatasetSpec:
             raise ValueError(f"window needs 0 <= start < stop <= sim t_end, got {self.window}")
         if not 0 < self.target_rate <= self.sim.pmu_rate:  # NaN fails either bound
             raise ValueError(f"target_rate must be in (0, sim pmu_rate], got {self.target_rate}")
+        n = resampled_length(self.sim.n_samples, self.sim.pmu_rate, self.target_rate)
+        if (window_samples(self.target_rate, *self.window) < 1
+                or self.window[1] > n / self.target_rate + 1e-9):  # extract_window's bound
+            raise ValueError(f"window {list(self.window)} needs a sample and must end within the "
+                             f"{n} samples of a record at target_rate {self.target_rate}")
         for name in ("h_values", "amplitudes"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")

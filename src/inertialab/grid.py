@@ -37,6 +37,7 @@ __all__ = [
     "system_inertia_constant",
     "scale_to_target_inertia",
     "build_reduced_network",
+    "parse_case",
     "load_case",
     "load_default_case",
 ]
@@ -366,7 +367,10 @@ def build_reduced_network(grid):
 _SECTIONS = ("BUS", "BRANCH", "GEN", "MONITOR")
 
 
-def _parse_case_text(text):
+def parse_case(data):
+    """Parse and validate INERTIA-CASE v1 text, or its UTF-8 bytes, into a
+    ``GridModel``."""
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
     buses, branches, gens, monitored = [], [], [], []
     section = None
     seen_header = False
@@ -434,8 +438,8 @@ def _parse_case_text(text):
 
 def load_case(path):
     """Parse and validate an INERTIA-CASE v1 file into a ``GridModel``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_case_text(fh.read())
+    with open(path, "rb") as fh:
+        return parse_case(fh.read())
 
 
 # The bundled 24-bus study case (38 branches, 38 units, 10 PMU buses).
@@ -444,4 +448,4 @@ DEFAULT_CASE = resources.files("inertialab.cases").joinpath("ieee24.case")
 
 def load_default_case():
     """The bundled case, parsed and validated."""
-    return _parse_case_text(DEFAULT_CASE.read_text(encoding="utf-8"))
+    return parse_case(DEFAULT_CASE.read_bytes())

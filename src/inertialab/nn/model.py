@@ -188,6 +188,18 @@ class _RegressionNet:
         }
 
     @classmethod
+    def pass_sizes(cls, config):
+        """Values held by the parameters and by the largest arrays of a
+        training pass over ``batch_size`` rows: each conv output and, in the
+        LRCN, the LSTM gate cache."""
+        rows = config.batch_size * config.conv_output_len
+        return {
+            "parameters": sum(math.prod(shape) for shape, _ in cls.layout(config).values()),
+            "conv1 output": rows * config.conv1_channels,
+            "conv2 output": rows * config.conv2_channels,
+        }
+
+    @classmethod
     def initialize(cls, config):
         rng = np.random.default_rng(config.seed)
         params = {name: init(rng, shape) for name, (shape, init) in cls.layout(config).items()}
@@ -284,6 +296,12 @@ class LrcnModel(_RegressionNet):
             "lstm_w_rec": ((config.lstm_units, gates), _lstm_weight),
             "lstm_b": ((gates,), _lstm_bias),
         }
+
+    @classmethod
+    def pass_sizes(cls, config):
+        rows = config.batch_size * -(-config.conv_output_len // config.sequence_stride)
+        return {**super().pass_sizes(config), "conv2 output": rows * config.conv2_channels,
+                "LSTM gate cache": rows * 4 * config.lstm_units}
 
     def _forward(self, batch, keep_cache):
         seq, conv_cache = self._conv_stack(batch, stride=self.config.sequence_stride)

@@ -29,9 +29,11 @@ __all__ = [
     "Dataset",
     "NormalizationStats",
     "resample",
+    "resampled_length",
     "resample_record",
     "add_noise",
     "measured_snr",
+    "window_samples",
     "extract_window",
     "assemble_features",
     "compute_normalization",
@@ -103,6 +105,12 @@ class FeatureSet:
         return "+".join(self.names())
 
 
+def resampled_length(n, src_rate, target_rate):
+    """Samples :func:`resample` makes of ``n`` at ``src_rate``:
+    ``floor(duration * target_rate)``."""
+    return int(math.floor(n * float(target_rate) / float(src_rate) + 1e-12))
+
+
 def resample(series, src_rate, target_rate):
     """Downsample uniform series along the last axis with a 4-tap prefilter.
 
@@ -125,7 +133,7 @@ def resample(series, src_rate, target_rate):
     padded = np.concatenate(
         (first - 2.0 * first_step, first - first_step, series, last + last_step), axis=-1
     )
-    out_len = int(math.floor(n * float(target_rate) / float(src_rate) + 1e-12))
+    out_len = resampled_length(n, src_rate, target_rate)
     pos = np.arange(out_len) * (float(src_rate) / float(target_rate)) + 0.5
     idx = np.clip(np.floor(pos).astype(np.intp), 0, n - 2)
     frac = pos - idx
@@ -163,17 +171,26 @@ def add_noise(record, snr_db, seed):
     """Add zero-mean Gaussian noise at ``snr_db`` to every channel.
 
     Noise variance is per (channel, bus) series: signal power divided by
-    ``10**(snr_db / 10)``.  ``snr_db = inf`` disables noising.  All-zero
-    series are left untouched with a warning since no noise scale is
-    definable for them.  Deterministic for a given seed.
+    ``10**(snr_db / 10)``.  ``snr_db = inf`` disables noising, and a ratio
+    beyond the float range gives a zero scale.  All-zero series are left
+    untouched with a warning since no noise scale is definable for them; a
+    scale that is not finite raises :class:`ValueError` naming ``snr_db``.
+    Deterministic for a given seed.
     """
     if math.isinf(snr_db) and snr_db > 0:
         return record
     powers = np.mean(record.channels**2, axis=2)
     if not powers.any():
         raise ValueError("record has no channel with nonzero power")
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        scales = np.sqrt(powers / ratio)
+    if not np.isfinite(scales[powers != 0.0]).all():
+        raise ValueError(f"snr_db {snr_db} gives a non-finite noise scale")
     rng = np.random.default_rng(seed)
-    ratio = 10.0 ** (snr_db / 10.0)
     data = record.channels.copy()
     for (chan, row), p in np.ndenumerate(powers):
         if p == 0.0:
@@ -183,8 +200,13 @@ def add_noise(record, snr_db, seed):
                 stacklevel=2,
             )
             continue
-        data[chan, row] += rng.normal(0.0, math.sqrt(p / ratio), record.n_samples)
+        data[chan, row] += rng.normal(0.0, scales[chan, row], record.n_samples)
     return replace(record, channels=data)
+
+
+def window_samples(rate, t_start, t_stop):
+    """Samples a window ``[t_start, t_stop)`` holds at ``rate``."""
+    return round(rate * (t_stop - t_start))
 
 
 def extract_window(record, t_start, t_stop):
@@ -196,7 +218,7 @@ def extract_window(record, t_start, t_stop):
             f"window [{t_start}, {t_stop}) exceeds record duration {record.duration}"
         )
     i0 = round(record.rate * t_start)
-    count = round(record.rate * (t_stop - t_start))
+    count = window_samples(record.rate, t_start, t_stop)
     if i0 + count > record.n_samples:
         raise ValueError("window exceeds record bounds")
     return replace(record, channels=record.channels[:, :, i0 : i0 + count].copy())

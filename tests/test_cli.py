@@ -2,11 +2,13 @@
 
 import builtins
 import contextlib
+import copy
 import hashlib
 import io
 import json
 import math
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -118,6 +120,25 @@ def tiny_case(tmp_path):
     return str(path)
 
 
+def spy_on_reads(monkeypatch, path):
+    """A list that gets the first 8 bytes of each read of ``path`` (None
+    when it is opened as text)."""
+    reads = []
+    real_open = io.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        if isinstance(file, (str, os.PathLike)) and "r" in mode and Path(file) == Path(path):
+            reads.append(handle.read(8) if "b" in mode else None)
+            handle.seek(0)
+        return handle
+
+    # builtins.open serves open(); pathlib reads through io.open
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    return reads
+
+
 def gen_args(tiny_case, out):
     return [
         "gen-data",
@@ -142,10 +163,14 @@ EARLY_FAILURES = [
     ("pmu-rate-zero", "gen-data", ["dataset.sim.pmu_rate=0"], 3, "pmu_rate"),
     ("t-end-infinite", "gen-data", ["dataset.sim.t_end=Infinity"], 3, "t_end"),
     ("t-end-huge", "gen-data", ["dataset.sim.t_end=1e300"], 3, "t_end"),
+    # 5e299 chips, one float each, if they were drawn
+    ("prbs-chip-tiny", "gen-data",
+     ['dataset.probe.kind="prbs"', "dataset.probe.prbs_chip=1e-300"], 3, "prbs_chip"),
     ("target-rate-zero", "gen-data", ["dataset.target_rate=0"], 3, "target_rate"),
     ("target-rate-nan", "gen-data", ["dataset.target_rate=NaN"], 3, "target_rate"),
     ("target-rate-above-pmu", "gen-data", ["dataset.target_rate=5000"], 3, "target_rate"),
     ("target-rate-negative", "gen-data", ["dataset.target_rate=-200"], 3, "target_rate"),
+    ("target-rate-tiny", "gen-data", ["dataset.target_rate=1e-300"], 3, "target_rate"),
     ("eval-target-rate-zero", "eval", ["dataset.target_rate=0"], 3, "target_rate"),
     ("duration-nan", "gen-data", ["dataset.probe.duration=NaN"], 3, "duration"),
     ("duration-infinite", "gen-data", ["dataset.probe.duration=Infinity"], 3, "duration"),
@@ -158,6 +183,7 @@ EARLY_FAILURES = [
     ("window-reversed", "gen-data", ["dataset.window=[0.5,0.2]"], 3, "window"),
     ("window-past-t-end", "gen-data", ["dataset.window=[0.0,9.0]"], 3, "window"),
     ("window-nan", "gen-data", ["dataset.window=[NaN,1.0]"], 3, "window"),
+    ("window-without-a-sample", "gen-data", ["dataset.window=[0.0,1e-300]"], 3, "window"),
     ("amplitude-zero-with-noise", "gen-data", ["dataset.amplitudes=[0.0,0.001]"], 3,
      "amplitudes"),
     ("amplitude-negative", "gen-data", ["dataset.amplitudes=[-0.001]"], 3, "amplitudes"),
@@ -167,6 +193,8 @@ EARLY_FAILURES = [
     ("h-value-nan", "gen-data", ["dataset.h_values=[NaN]"], 3, "h_values"),
     ("snr-nan", "gen-data", ["dataset.snr_db=NaN"], 3, "snr_db"),
     ("snr-minus-infinity", "gen-data", ["dataset.snr_db=-Infinity"], 3, "snr_db"),
+    # a noise ratio of 0, so an infinite noise scale
+    ("snr-noise-scale-infinite", "gen-data", ["dataset.snr_db=-1e308"], 3, "snr_db"),
     ("base-seed-negative", "gen-data", ["dataset.base_seed=-1"], 3, "base_seed"),
     # training values
     ("snr-level-nan", "gen-data", ["train.snr_levels=[NaN]"], 3, "snr_levels"),
@@ -197,6 +225,8 @@ EARLY_FAILURES = [
     ("kernel-longer-than-one-feature", "select-features", ["model.kernel_size=401"], 3,
      "model.kernel_size"),
     ("batch-larger-than-split", "train", ["model.batch_size=6"], 3, "model.batch_size"),
+    # sizes no array could hold: 4e12 LSTM units
+    ("lstm-units-huge", "train", ["model.lstm_units=1000000000000"], 3, "lstm_units"),
     ("fraction-empty-training", "train", ["train.train_fraction=0.05"], 3,
      "train.train_fraction"),
     ("fraction-empty-validation", "train", ["train.train_fraction=0.95"], 3,
@@ -210,6 +240,13 @@ EARLY_FAILURES = [
     ("snr-level-over-zero-amplitude", "compare-snr",
      ['dataset={"snr_db":Infinity,"amplitudes":[0.0,0.001]}'], 3, "train.snr_levels"),
     ("snr-levels-empty", "compare-snr", ["train.snr_levels=[]"], 3, "train.snr_levels"),
+    # a probe that drives the tiny case unstable, found only by simulating
+    ("unstable-gen-data", "gen-data", ["dataset.amplitudes=[0.001,500.0]"], 3,
+     "H index 0, amplitude index 1"),
+    ("unstable-train", "train", ["dataset.amplitudes=[0.001,500.0]"], 3,
+     "H index 0, amplitude index 1"),
+    ("unstable-compare-snr", "compare-snr", ["dataset.amplitudes=[0.001,500.0]"], 3,
+     "H index 0, amplitude index 1"),
     # eval's checkpoint
     ("eval-without-model", "eval", [], 3, "paths.model"),
     ("eval-input-length-mismatch", "eval", ["--model", "--data"], 4, "model expects length"),
@@ -312,6 +349,24 @@ class TestGenData:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["grid_sha256"] == hashlib.sha256(case.read_bytes()).hexdigest()
 
+    def test_reads_its_case_once(self, tiny_case, tmp_path, monkeypatch):
+        # the grid is parsed from the one read, and the manifest hashes those bytes
+        parsed = []
+        real_parse = cli.parse_case
+
+        def spy(data):
+            parsed.append(data)
+            return real_parse(data)
+
+        monkeypatch.setattr(cli, "parse_case", spy)
+        reads = spy_on_reads(monkeypatch, tiny_case)
+        out = tmp_path / "run"
+        assert main(gen_args(tiny_case, out)) == 0
+        assert reads == [b"INERTIA-"]
+        assert parsed == [Path(tiny_case).read_bytes()]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["grid_sha256"] == hashlib.sha256(parsed[0]).hexdigest()
+
     def test_lock_released_after_run(self, tiny_case, tmp_path):
         out = tmp_path / "run"
         assert main(gen_args(tiny_case, out)) == 0
@@ -401,19 +456,7 @@ class TestTrainEval:
         data = tmp_path / "data"
         assert main(gen_args(tiny_case, data)) == 0
         path = data / "dataset.bin"
-        reads = []
-        real_open = io.open
-
-        def counting_open(file, mode="r", *args, **kwargs):
-            handle = real_open(file, mode, *args, **kwargs)
-            if isinstance(file, (str, os.PathLike)) and "r" in mode and Path(file) == path:
-                reads.append(handle.read(8) if "b" in mode else None)
-                handle.seek(0)
-            return handle
-
-        # builtins.open serves open(); pathlib reads through io.open
-        monkeypatch.setattr(builtins, "open", counting_open)
-        monkeypatch.setattr(io, "open", counting_open)
+        reads = spy_on_reads(monkeypatch, path)
         rc = main(["train", "--out", str(tmp_path / "run"), "--data", str(path),
                    "--set", f'case="{tiny_case}"', "--set", "train.epochs=1", *TINY_MODEL,
                    "--set", "model.batch_size=2"])
@@ -446,18 +489,16 @@ class TestTrainEval:
         (lambda p: (p["head1_b"].fill(1e300), p["out_w"].fill(1e300)), "leaving the out layer"),
     ], ids=["missing", "unknown", "misshapen", "transposed", "nan", "overflowing",
             "overflowing-out"])
-    def test_bad_parameter_table_fails_before_it_writes(self, tiny_case, tmp_path, capsys,
-                                                        damage, named):
-        data = tmp_path / "data"
-        assert main(gen_args(tiny_case, data)) == 0  # 4 samples of length 800
-        capsys.readouterr()
+    def test_bad_parameter_table_fails_before_it_writes(self, early_files, tiny_case, tmp_path,
+                                                        capsys, damage, named):
+        # early_files' corpus holds 6 samples of length 800
         model = make_model("cnn", LrcnConfig(input_len=800, conv1_channels=2, conv2_channels=2,
                                              head_sizes=(2,)))
         damage(model.params)
         model.save(tmp_path / "model.bin")
         out = tmp_path / "eval"
         rc = main(["eval", "--out", str(out), "--model", str(tmp_path / "model.bin"),
-                   "--data", str(data / "dataset.bin"), "--set", f'case="{tiny_case}"'])
+                   "--data", str(early_files["--data"]), "--set", f'case="{tiny_case}"'])
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -465,14 +506,12 @@ class TestTrainEval:
         assert not out.exists()
 
     @pytest.mark.parametrize("where", ["tensors", "labels"])
-    def test_non_finite_dataset_exit_code(self, tiny_case, tmp_path, capsys, where):
-        data = tmp_path / "data"
-        assert main(gen_args(tiny_case, data)) == 0
-        path = data / "dataset.bin"
-        dataset = Dataset.load(path)
+    def test_non_finite_dataset_exit_code(self, early_files, tiny_case, tmp_path, capsys,
+                                          where):
+        path = tmp_path / "dataset.bin"
+        dataset = Dataset.load(early_files["--data"])
         getattr(dataset, where)[0] = np.nan
         dataset.save(path)
-        capsys.readouterr()
         for epochs in ("1", "0"):  # with no epoch, nothing downstream would notice
             rc = main(["train", "--out", str(tmp_path / "run"), "--data", str(path),
                        "--set", f'case="{tiny_case}"', "--set", f"train.epochs={epochs}",
@@ -583,15 +622,12 @@ class TestInspect:
         assert info["n_samples"] == 4
 
     @pytest.mark.parametrize("offset, fmt, value, field", BAD_DATASET_HEADERS)
-    def test_inconsistent_dataset_header(self, tiny_case, tmp_path, capsys,
+    def test_inconsistent_dataset_header(self, early_files, tiny_case, tmp_path, capsys,
                                          offset, fmt, value, field):
-        data = tmp_path / "data"
-        assert main(gen_args(tiny_case, data)) == 0
-        blob = bytearray((data / "dataset.bin").read_bytes())
+        blob = bytearray(early_files["--data"].read_bytes())
         struct.pack_into(fmt, blob, offset, value)
         path = tmp_path / "bad.bin"
         path.write_bytes(blob)
-        capsys.readouterr()
         out = tmp_path / "run"
         for args in (["inspect", str(path)],
                      ["train", "--out", str(out), "--data", str(path),
@@ -884,3 +920,111 @@ class TestConfigLayering:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert not out.exists()
+
+
+# The fuzzed runs start from the tiny case, its 3 x 2 grid, the tiny model
+# and one epoch; a float key is drawn from these extremes or its start value,
+# so a simulation key either fails validation or keeps its step count.
+FUZZ_START = {
+    "dataset": {"h_values": [3.0, 5.0, 7.0], "amplitudes": [0.001, 0.002]},
+    "model": {"conv1_channels": 2, "conv2_channels": 3, "lstm_units": 4, "head_sizes": [6, 3],
+              "batch_size": 4, "sequence_stride": 16},
+    "train": {"epochs": 1},
+}
+EXTREMES = (math.nan, math.inf, -math.inf, 1e300, -1e300)
+# the string keys and the names each may take; any other draws "nope" too
+FUZZ_NAMES = {"profile": ("desk", "paper"), "dataset.probe.kind": ("step_pulse", "prbs"),
+              "train.arch": ("lrcn", "cnn"), "dataset.features": ("speed", "rocof", "angle")}
+
+
+def _fuzz_start():
+    start = _profile_defaults("desk")
+    for group, values in FUZZ_START.items():
+        start[group].update(values)
+    return start
+
+
+def _leaves(tree, prefix=""):
+    """(dotted key, value) of every non-group key of a config tree."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
+
+
+def _value_strategy(path, start):
+    """Values for one key: floats from EXTREMES, integers from -1 to 8 (every
+    model size far below cli.MAX_MODEL_VALUES), lists of up to 3 of either,
+    names from FUZZ_NAMES or "nope"."""
+    if isinstance(start, float):
+        return st.sampled_from((*EXTREMES, start))
+    if isinstance(start, str) or path == "dataset.features":
+        return st.sampled_from((*FUZZ_NAMES.get(path, (start,)), "nope")).map(
+            lambda name: [name] if path == "dataset.features" else name)
+    if isinstance(start, list) and all(isinstance(v, float) for v in start):
+        return st.lists(st.sampled_from((*EXTREMES, *start)), max_size=3)
+    if isinstance(start, list):
+        return st.lists(st.integers(-1, 8), max_size=3)
+    return st.integers(-1, 8)  # sizes, seeds (null or not) and epochs
+
+
+# every key but the files and the output directory, which the fuzz fixes
+FUZZ_KEYS = {key: _value_strategy(key, value) for key, value in _leaves(_fuzz_start())
+             if key.split(".")[0] not in ("case", "out", "paths")}
+# tokens a case-file edit puts in place of one field
+CASE_TOKENS = ("nan", "inf", "-inf", "1e300", "-1e300", "0", "-1")
+
+
+class TestFuzzedInputs:
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    # derandomized: every run draws the same examples (a wider search passed
+    # 3,000 random ones; raise max_examples and drop derandomize to repeat it)
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_run_succeeds_or_fails_before_it_writes(self, root, data):
+        # config-file and --set values, one case-file edit: each run exits 0,
+        # or fails with one error line and no output directory; divergence
+        # (exit 5) is the one failure that shows only after training starts
+        lines = tiny_case_text().splitlines()
+        if data.draw(st.booleans(), label="edit case"):
+            at = data.draw(st.integers(0, len(lines) - 1), label="line")
+            words = lines[at].split()
+            if data.draw(st.booleans(), label="drop line"):
+                del lines[at]
+            else:
+                words[data.draw(st.integers(0, len(words) - 1), label="field")] = data.draw(
+                    st.sampled_from(CASE_TOKENS), label="token")
+                lines[at] = " ".join(words)
+        (root / "tiny.case").write_text("\n".join(lines) + "\n")
+        config = {**copy.deepcopy(FUZZ_START), "case": str(root / "tiny.case")}
+        sets = []
+        for key in data.draw(st.lists(st.sampled_from(sorted(FUZZ_KEYS)), min_size=1,
+                                      max_size=3), label="keys"):
+            value = data.draw(FUZZ_KEYS[key], label=key)
+            if data.draw(st.booleans(), label="in --set"):
+                sets += ["--set", f"{key}={json.dumps(value)}"]
+            else:
+                *groups, name = key.split(".")
+                tree = config
+                for group in groups:
+                    tree = tree.setdefault(group, {})
+                tree[name] = value
+        (root / "cfg.json").write_text(json.dumps(config))
+        command = data.draw(st.sampled_from(["gen-data", "train"]), label="command")
+        out, err = root / "run", io.StringIO()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(root / "cfg.json"), "--out", str(out),
+                             *sets])
+            if code == 0:
+                assert (out / "manifest.json").exists()
+            else:
+                assert code in (2, 3, 4, 5), err.getvalue()
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+                assert code == 5 or not out.exists(), err.getvalue()
+        finally:
+            shutil.rmtree(out, ignore_errors=True)

@@ -83,6 +83,14 @@ class TestProbeWaveform:
         assert set(np.round(np.abs(values), 12)) == {0.002}
         assert abs(values.mean()) < 0.1 * spec.amplitude
 
+    def test_prbs_chip_count_bounded(self, monkeypatch):
+        # rejected before a chip is drawn; a step pulse draws none, so any chip passes
+        monkeypatch.setattr("inertialab.dynamics._prbs_chips", None)
+        with pytest.raises(ValueError, match=f"prbs_chip 1e-300 .* more than {MAX_STEPS} chips"):
+            ProbingSignal(kind="prbs", prbs_chip=1e-300)
+        assert ProbingSignal(kind="prbs", duration=MAX_STEPS * 0.5, prbs_chip=0.5)
+        assert ProbingSignal(prbs_chip=1e-300)
+
     def test_prbs_deterministic_under_seed(self):
         spec = ProbingSignal(kind="prbs", amplitude=1.0, injection_bus=1, duration=1.0,
                              prbs_chip=0.1, seed=3)

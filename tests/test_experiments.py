@@ -103,6 +103,10 @@ class TestGrids:
         # noise at a finite SNR is scaled to a signal, so there must be one
         (dict(amplitudes=(0.0, 0.001)), "amplitudes"),
         (dict(probe=ProbingSignal(start=1.5)), "start"),
+        # a window with no sample at the target rate, or past the resampled record
+        (dict(window=(0.0, 1e-300)), "window .* needs a sample"),
+        (dict(target_rate=1e-300), "needs a sample .* at target_rate 1e-300"),
+        (dict(target_rate=0.6), "end within the 0 samples of a record at target_rate 0.6"),
     ])
     def test_spec_rejects_bad_grids(self, kw, key):
         with pytest.raises(ValueError, match=key):

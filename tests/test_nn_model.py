@@ -134,6 +134,19 @@ class TestForward:
         pred, _, _ = model.forward_backward(batch, targets)
         assert model.forward(batch).tobytes() == pred.tobytes()
 
+    @pytest.mark.parametrize("arch, stride", [("lrcn", 1), ("lrcn", 8), ("cnn", 1)])
+    def test_pass_sizes_are_the_training_arrays(self, arch, stride):
+        config = replace(SMALL, input_len=200, sequence_stride=stride)
+        model = make_model(arch, config)
+        batch = np.random.default_rng(6).uniform(size=(config.batch_size, config.input_len))
+        _, cache = model._forward(batch, keep_cache=True)
+        (_, conv2_cache), seq = cache[0], cache[1]
+        arrays = {"parameters": sum(p.size for p in model.params.values()),
+                  "conv1 output": conv2_cache[0].size, "conv2 output": seq.size}
+        if arch == "lrcn":
+            arrays["LSTM gate cache"] = cache[2][3].size
+        assert type(model).pass_sizes(config) == arrays
+
     def test_input_length_checked(self):
         model = make_model("lrcn", SMALL)
         with pytest.raises(ValueError):

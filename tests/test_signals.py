@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import struct
 
 import numpy as np
@@ -23,6 +24,7 @@ from inertialab.signals import (
     measured_snr,
     replace_with_noise,
     resample,
+    window_samples,
 )
 
 
@@ -155,6 +157,16 @@ class TestAddNoise:
             noisy = add_noise(rec, 60.0, seed=1)
         np.testing.assert_array_equal(noisy.channels[2], 0.0)
 
+    @pytest.mark.parametrize("snr_db", [-1e308, -3200.0])
+    def test_non_finite_noise_scale_names_the_snr(self, snr_db):
+        # a noise ratio of 0, or a power over a subnormal ratio that overflows
+        with pytest.raises(ValueError, match=re.escape(f"snr_db {snr_db} gives a non-finite")):
+            add_noise(make_record(), snr_db, seed=1)
+
+    def test_ratio_beyond_the_float_range_adds_no_noise(self):
+        rec = make_record()
+        assert add_noise(rec, 1e308, seed=1).channels.tobytes() == rec.channels.tobytes()
+
     def test_fully_silent_record_rejected(self):
         rec = make_record(n_buses=1)
         silent = PmuRecordSet(
@@ -187,6 +199,11 @@ class TestExtractWindow:
         first = extract_window(rec, 0.0, 1.0)
         second = extract_window(rec, 0.5, 1.5)
         np.testing.assert_array_equal(first.channels[:, :, 100:], second.channels[:, :, :100])
+
+    @pytest.mark.parametrize("window", [(0.0, 1.0), (0.5, 1.5), (0.25, 0.3), (0.0, 1e-3)])
+    def test_crop_holds_window_samples(self, window):
+        rec = make_record(n_samples=300)
+        assert extract_window(rec, *window).n_samples == window_samples(rec.rate, *window)
 
     def test_out_of_range(self):
         rec = make_record(n_samples=300)
